@@ -51,11 +51,13 @@ var _ transport.AsyncVerbs = (*Transport)(nil)
 // readGroup is one per-server slice of a ReadMulti fan-out: the ReadBatch
 // frame for ms was issued under tag (when issued; a server already dead at
 // issue time yields an unissued group that zero-fills). head is the index
-// of the group's first op; membership is every op addressed to ms.
+// of the group's first op; membership is every op addressed to ms, whose
+// buffers total size bytes — the exact response length.
 type readGroup struct {
 	ms     uint16
 	tag    uint32
 	head   int
+	size   int
 	issued bool
 }
 
@@ -83,9 +85,11 @@ func (t *Transport) Close() {}
 // Verbs against a dead server apply the dead-memory semantics every backend
 // shares — reads zero-fill, writes are discarded, atomics fabricate success
 // from zeroed memory so validating reads observe the death (DESIGN.md §12).
-// markDead runs failover promotion synchronously before publishing the
-// death, so by the time a verb reports a dead server the forwarding map
-// already redirects its chunks.
+// A response of the wrong length counts as a death too (awaitLen): the
+// stream is corrupt, and nothing in it can be trusted. markDead runs
+// failover promotion synchronously before publishing the death, so by the
+// time a verb reports a dead server the forwarding map already redirects
+// its chunks.
 
 func (t *Transport) Read(a transport.Addr, buf []byte) {
 	t.m.Reads++
@@ -97,7 +101,7 @@ func (t *Transport) Read(a transport.Addr, buf []byte) {
 	}
 	t.payload = appendU32(appendU64(t.payload[:0], uint64(a)), uint32(len(buf)))
 	tag := mx.issue(opRead, t.payload)
-	resp, ok := mx.await(tag)
+	resp, ok := mx.awaitLen(tag, len(buf))
 	if !ok {
 		mx.release(tag)
 		t.cl.markDead(int(ms))
@@ -132,13 +136,14 @@ func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 			continue
 		}
 		t.payload = appendU32(t.payload[:0], 0)
-		n := 0
+		n, size := 0, 0
 		for j := i; j < len(ops); j++ {
 			if ops[j].Addr.MS() != ms {
 				continue
 			}
 			t.payload = appendU32(appendU64(t.payload, uint64(ops[j].Addr)), uint32(len(ops[j].Buf)))
 			n++
+			size += len(ops[j].Buf)
 		}
 		binary.LittleEndian.PutUint32(t.payload[0:4], uint32(n))
 		t.m.Reads += int64(n)
@@ -146,7 +151,7 @@ func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 			t.m.DoorbellBatches++
 			t.m.DoorbellOps += int64(n)
 		}
-		g := readGroup{ms: ms, head: i}
+		g := readGroup{ms: ms, head: i, size: size}
 		if mx, alive := t.cl.mux(ms); alive {
 			g.tag = mx.issue(opReadBatch, t.payload)
 			g.issued = true
@@ -159,7 +164,7 @@ func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 		var mx *muxConn
 		if g.issued {
 			mx = t.cl.muxes[g.ms]
-			resp, ok = mx.await(g.tag)
+			resp, ok = mx.awaitLen(g.tag, g.size)
 			if ok {
 				t.m.RoundTrips++
 				t.m.OpRoundTrips++
@@ -169,12 +174,6 @@ func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 		for j := g.head; j < len(ops); j++ {
 			if ops[j].Addr.MS() != g.ms {
 				continue
-			}
-			if ok && off+len(ops[j].Buf) > len(resp) {
-				// Truncated response: the server desynchronized mid-batch.
-				// Treat it as a death — zero-fill the rest of the group
-				// rather than slicing past the frame.
-				ok = false
 			}
 			if ok {
 				copy(ops[j].Buf, resp[off:off+len(ops[j].Buf)])
@@ -205,7 +204,7 @@ func (t *Transport) Write(a transport.Addr, data []byte) {
 	t.payload = appendU32(appendU64(t.payload, uint64(a)), uint32(len(data)))
 	t.payload = append(t.payload, data...)
 	tag := mx.issue(opWriteBatch, t.payload)
-	_, ok := mx.await(tag)
+	_, ok := mx.awaitLen(tag, 0)
 	mx.release(tag)
 	if !ok {
 		t.cl.markDead(int(ms))
@@ -246,7 +245,7 @@ func (t *Transport) PostWrites(ops ...transport.WriteOp) {
 		return
 	}
 	tag := mx.issue(opWriteBatch, t.payload)
-	_, ok := mx.await(tag)
+	_, ok := mx.awaitLen(tag, 0)
 	mx.release(tag)
 	if !ok {
 		t.cl.markDead(int(ms))
@@ -263,11 +262,9 @@ func (t *Transport) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
 	if alive {
 		t.payload = appendU64(appendU64(appendU64(t.payload[:0], uint64(a)), old), new)
 		tag := mx.issue(opCAS, t.payload)
-		resp, ok := mx.await(tag)
+		resp, ok := mx.awaitLen(tag, 9)
 		if ok {
-			p := payloadReader{b: resp}
-			prev := p.u64()
-			swapped := p.u8() == 1
+			prev, swapped := leU64(resp), resp[8] == 1
 			mx.release(tag)
 			t.m.RoundTrips++
 			t.m.OpRoundTrips++
@@ -299,11 +296,9 @@ func (t *Transport) CAS16(a transport.Addr, old, new uint16) (uint16, bool) {
 		t.payload = appendU64(t.payload[:0], uint64(a))
 		t.payload = append(t.payload, byte(old), byte(old>>8), byte(new), byte(new>>8))
 		tag := mx.issue(opCAS16, t.payload)
-		resp, ok := mx.await(tag)
+		resp, ok := mx.awaitLen(tag, 3)
 		if ok {
-			p := payloadReader{b: resp}
-			prev := p.u16()
-			swapped := p.u8() == 1
+			prev, swapped := uint16(resp[0])|uint16(resp[1])<<8, resp[2] == 1
 			mx.release(tag)
 			t.m.RoundTrips++
 			t.m.OpRoundTrips++
@@ -332,14 +327,13 @@ func (t *Transport) FAA(a transport.Addr, delta uint64) uint64 {
 	}
 	t.payload = appendU64(appendU64(t.payload[:0], uint64(a)), delta)
 	tag := mx.issue(opFAA, t.payload)
-	resp, ok := mx.await(tag)
+	resp, ok := mx.awaitLen(tag, 8)
 	if !ok {
 		mx.release(tag)
 		t.cl.markDead(int(ms))
 		return 0
 	}
-	p := payloadReader{b: resp}
-	prev := p.u64()
+	prev := leU64(resp)
 	mx.release(tag)
 	t.m.RoundTrips++
 	t.m.OpRoundTrips++
@@ -353,14 +347,13 @@ func (t *Transport) GrowChunk(ms uint16) uint64 {
 		return 0
 	}
 	tag := mx.issue(opGrow, nil)
-	resp, ok := mx.await(tag)
+	resp, ok := mx.awaitLen(tag, 8)
 	if !ok {
 		mx.release(tag)
 		t.cl.markDead(int(ms))
 		return 0
 	}
-	p := payloadReader{b: resp}
-	base := p.u64()
+	base := leU64(resp)
 	mx.release(tag)
 	t.m.RoundTrips++
 	t.m.OpRoundTrips++
@@ -431,7 +424,7 @@ func (t *Transport) Await(pd transport.Pending) {
 		}
 	} else {
 		mx := t.cl.muxes[p.ms]
-		resp, ok := mx.await(p.tag)
+		resp, ok := mx.awaitLen(p.tag, len(p.buf)) // 0 for a write batch
 		if ok {
 			if p.kind == pendRead {
 				copy(p.buf, resp)

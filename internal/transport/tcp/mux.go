@@ -46,9 +46,8 @@ func (s *muxSlot) deliver(err bool) {
 // bounded window), append their frame to a shared write buffer, and block
 // on the slot; a writer goroutine coalesces whatever accumulated into
 // single flushes, and a reader goroutine demuxes responses by tag back to
-// the waiting slots. Responses may return in any order — that is the whole
-// point: requests to different chunks proceed through the server's striped
-// locks concurrently.
+// the waiting slots. The tag alone matches a response to its request;
+// nothing here depends on the order in which responses arrive.
 //
 // Failure is terminal (a dead server stays dead, as in v1): fail closes the
 // socket, the reader sweeps every in-flight slot with err, and later issues
@@ -151,6 +150,18 @@ func (m *muxConn) await(tag uint32) ([]byte, bool) {
 		panic("tcp: server rejected request: " + string(s.resp))
 	}
 	return s.resp, true
+}
+
+// awaitLen is await for a verb whose request fixes its response length: a
+// response of any other length means the stream is corrupt, so it reports
+// ok=false and the caller takes the dead-server path, exactly as for a
+// dropped connection.
+func (m *muxConn) awaitLen(tag uint32, n int) ([]byte, bool) {
+	resp, ok := m.await(tag)
+	if !ok || len(resp) != n {
+		return nil, false
+	}
+	return resp, true
 }
 
 // release returns tag's slot to the window. The slot's response buffer is

@@ -34,11 +34,7 @@ func growOn(t *testing.T, m *muxConn) uint64 {
 // writeOn posts one write through the mux's WriteBatch opcode.
 func writeOn(t *testing.T, m *muxConn, a transport.Addr, data []byte) {
 	t.Helper()
-	payload := appendU32(nil, 1)
-	payload = appendU64(payload, uint64(a))
-	payload = appendU32(payload, uint32(len(data)))
-	payload = append(payload, data...)
-	if !m.roundTrip(opWriteBatch, payload, nil) {
+	if !m.roundTrip(opWriteBatch, writeBatchPayload(transport.WriteOp{Addr: a, Data: data}), nil) {
 		t.Fatal("write round trip failed")
 	}
 }
@@ -236,8 +232,8 @@ func TestMuxTornFrameFailsPending(t *testing.T) {
 // membership service pings on its own lockstep connection, so a data window
 // completely full of requests stalled on a busy chunk cannot head-of-line
 // block failure detection. The test wedges a tiny window behind a held
-// server stripe lock, then round-trips a ping on a separate connection with
-// a deadline.
+// server stripe lock — the data connection's serving loop blocks on it —
+// then round-trips a ping on a separate connection with a deadline.
 func TestPingBypassesFullDataWindow(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -251,8 +247,8 @@ func TestPingBypassesFullDataWindow(t *testing.T) {
 	addr := transport.MakeAddr(0, base)
 	writeOn(t, m, addr, make([]byte, 8))
 
-	// Wedge chunk 0's stripe: both window slots fill with reads that block
-	// inside server workers on the held lock.
+	// Wedge chunk 0's stripe: both window slots fill with reads, and the
+	// connection's serving loop blocks on the held lock at the first.
 	srv.st.locks[0].Lock()
 	tagA := m.issue(opRead, readPayload(addr, 8))
 	tagB := m.issue(opRead, readPayload(addr, 8))

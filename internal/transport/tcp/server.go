@@ -2,9 +2,9 @@ package tcp
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,16 +21,10 @@ const chunkSize = transport.DefaultChunkSize
 
 // numStripes is the lock-striping width of each address space half: host
 // chunks stripe by chunk index, the on-chip region by 64-byte line, so
-// concurrent tagged requests to different chunks (or different lock words)
-// never serialize on one mutex. 64 stripes comfortably exceed any plausible
-// per-server worker concurrency.
+// connections (each served by its own goroutine) touching different chunks
+// (or different lock words) never serialize on one mutex. 64 stripes
+// comfortably exceed any plausible per-server connection concurrency.
 const numStripes = 64
-
-// connWorkers is the per-connection handler pool: how many tagged requests
-// of one client connection the server works on concurrently. It matches the
-// client's default window order of magnitude; excess requests queue in the
-// read loop (backpressure via the request-context free list).
-const connWorkers = 16
 
 // serverStart anchors this server process's monotonic clock. Ping responses
 // carry nanoseconds since this instant so every client process can anchor
@@ -209,121 +203,15 @@ func (s *Server) Serve() error {
 	}
 }
 
-// reqCtx is one pooled request context: the read loop fills tag/op/in, a
-// worker appends the response payload into resp. Both buffers are reused
-// across requests, so the steady request path allocates nothing (the
-// in-process alloc probe measures this server too).
-type reqCtx struct {
-	tag  uint32
-	op   byte
-	in   []byte
-	resp []byte
-}
-
-// connWriter coalesces one connection's response writes: workers append
-// complete frames into a shared buffer, and a flusher goroutine swaps the
-// buffer out and writes it with a single syscall. Under a deep pipeline
-// many responses ride one flush — the server-side mirror of the client
-// mux's request coalescing; when the connection is idle the flusher runs
-// immediately, so a lone response flushes with no added delay. Responses to
-// different tags may legally leave in any order (the client demuxes by
-// tag), so the flusher and flushNow never need to agree on frame order —
-// only on whole-frame writes.
-type connWriter struct {
-	conn net.Conn
-	mu   sync.Mutex // guards buf
-	buf  []byte
-	wmu  sync.Mutex // serializes conn.Write between run and flushNow
-	fout []byte     // flushNow's recycled swap buffer; guarded by wmu
-	wake chan struct{}
-	done chan struct{}
-}
-
-func newConnWriter(conn net.Conn) *connWriter {
-	w := &connWriter{conn: conn, wake: make(chan struct{}, 1), done: make(chan struct{})}
-	go w.run()
-	return w
-}
-
-// post appends one response frame for the flusher to pick up.
-func (w *connWriter) post(tag uint32, status byte, resp []byte) {
-	w.mu.Lock()
-	w.buf = appendFrame(w.buf, tag, status, resp)
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
-// flushNow synchronously drains the buffer — the demux loop's batch
-// boundary, and the shutdown path (the ack must be on the wire before the
-// listener closes). The drained buffer swaps against a recycled spare so
-// the per-burst flush allocates nothing in steady state.
-func (w *connWriter) flushNow() {
-	w.wmu.Lock()
-	w.mu.Lock()
-	out := w.buf
-	w.buf = w.fout[:0]
-	w.mu.Unlock()
-	var err error
-	if len(out) > 0 {
-		_, err = w.conn.Write(out)
-	}
-	w.fout = out[:0]
-	w.wmu.Unlock()
-	if err != nil {
-		w.conn.Close()
-	}
-}
-
-func (w *connWriter) run() {
-	var out []byte
-	for {
-		select {
-		case <-w.wake:
-		case <-w.done:
-			return
-		}
-		// Same trick as the client mux's writer: yield while the buffer is
-		// still growing, so a window's worth of responses rides one Write.
-		runtime.Gosched()
-		w.mu.Lock()
-		n := len(w.buf)
-		w.mu.Unlock()
-		for i := 0; n > 0 && i < 4; i++ {
-			runtime.Gosched()
-			w.mu.Lock()
-			grown := len(w.buf)
-			w.mu.Unlock()
-			if grown == n {
-				break
-			}
-			n = grown
-		}
-		w.mu.Lock()
-		out, w.buf = w.buf, out[:0]
-		w.mu.Unlock()
-		if len(out) == 0 {
-			continue
-		}
-		w.wmu.Lock()
-		_, err := w.conn.Write(out)
-		w.wmu.Unlock()
-		if err != nil {
-			w.conn.Close() // unblocks the read loop
-			return
-		}
-	}
-}
-
-// serveConn runs one client connection: a read loop feeding a fixed worker
-// pool through pooled request contexts. Workers handle requests
-// concurrently — the tag is what lets their responses return out of order —
-// and serialize only on the coalescing response writer and the stripe locks
-// their ops touch. The free list of contexts bounds the per-connection work
-// in flight: when all connWorkers contexts are busy the read loop itself
-// blocks, pushing backpressure into the socket.
+// serveConn runs one client connection on one goroutine: read a frame,
+// apply it inline, append the response frame to the connection's output
+// buffer, and write that buffer once the inbound burst is drained (the
+// reader holds no further bytes, so the next read would block). A pipelined
+// burst's answers thus ride one Write, and each verb costs its memcpy or
+// atomic under a stripe lock — no goroutine handoff on the way in or out.
+// Responses leave in request order; clients demux by tag and rely on
+// nothing more. Both buffers are reused across frames, so the steady path
+// allocates nothing (the in-process alloc probe measures this server too).
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -331,114 +219,50 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-
-	work := make(chan *reqCtx, connWorkers)
-	free := make(chan *reqCtx, connWorkers)
-	for i := 0; i < connWorkers; i++ {
-		free <- &reqCtx{}
-	}
-	w := newConnWriter(conn)
-	defer close(w.done)
-	var wg sync.WaitGroup
-	wg.Add(connWorkers)
-	for i := 0; i < connWorkers; i++ {
-		go func() {
-			defer wg.Done()
-			for ctx := range work {
-				s.serveReq(w, ctx)
-				free <- ctx
-			}
-		}()
-	}
-
 	r := bufio.NewReader(conn)
 	var hdr [frameHeader]byte
+	var in, out []byte
 	for {
-		ctx := <-free
-		tag, op, payload, err := readFrameInto(r, ctx.in, &hdr)
-		ctx.in = payload
+		tag, op, payload, err := readFrameInto(r, in, &hdr)
+		in = payload
 		if err != nil {
-			free <- ctx
-			break // peer hung up (or died mid-frame); its state is already durable
+			return // peer hung up (or died mid-frame); its state is already durable
 		}
-		ctx.tag, ctx.op = tag, op
-		if op == opRead && s.tryInlineRead(w, ctx) {
-			free <- ctx
-		} else {
-			work <- ctx
+		out = s.respond(out, tag, op, payload)
+		// The Shutdown ack must be on the wire before the listener closes.
+		if r.Buffered() > 0 && op != opShutdown {
+			continue
 		}
-		// Batch boundary: the inbound burst is drained, the next ReadFull
-		// blocks. Flush whatever responses accumulated synchronously — the
-		// whole burst's answers ride one Write with no flusher handoff.
-		if r.Buffered() == 0 {
-			w.flushNow()
+		if _, err := conn.Write(out); err != nil {
+			return
+		}
+		out = out[:0]
+		if op == opShutdown {
+			s.Close()
+			return
 		}
 	}
-	close(work)
-	wg.Wait()
 }
 
-// tryInlineRead serves an uncontended read right on the demux goroutine,
-// appending the response frame straight from the store into the write
-// buffer — no worker handoff, no intermediate copy — so the dominant opcode
-// of a read-mostly pipeline costs two channel operations and a memcpy less
-// per request. TryLock keeps the no-blocking guarantee: a read whose stripe
-// is held (or any parse/locate error) falls back to the worker pool,
-// exactly as if the fast path did not exist.
-func (s *Server) tryInlineRead(w *connWriter, ctx *reqCtx) bool {
-	p := &payloadReader{b: ctx.in}
-	a := transport.Addr(p.u64())
-	n := int(p.u32())
-	if p.err != nil {
-		return false
-	}
-	reg, err := s.st.locate(a, n)
+// respond applies one request and appends its response frame to out. The
+// result payload is appended in place behind a provisional header whose
+// length (and, on error, status) is patched afterwards, so a response —
+// a Read's bytes included — is copied once, from the store into out.
+func (s *Server) respond(out []byte, tag uint32, op byte, payload []byte) []byte {
+	start := len(out)
+	out = appendU32(appendU32(out, 0), tag)
+	out = append(out, statusOK)
+	out, err := s.handle(op, payload, out)
 	if err != nil {
-		return false
+		out = append(out[:start+frameHeader], err.Error()...)
+		out[start+frameHeader-1] = statusErr
 	}
-	if !reg.mu.TryLock() {
-		return false
-	}
-	// Stripe lock before buffer lock, always in this order; workers never
-	// nest the two (handle releases the stripe before post takes the
-	// buffer), so the ordering is acyclic.
-	w.mu.Lock()
-	b := appendU32(w.buf, uint32(5+n))
-	b = appendU32(b, ctx.tag)
-	b = append(b, statusOK)
-	off := len(b)
-	if cap(b) < off+n {
-		nb := make([]byte, off, (off+n)*2)
-		copy(nb, b)
-		b = nb
-	}
-	b = b[:off+n]
-	copy(b[off:], reg.b)
-	w.buf = b
-	w.mu.Unlock()
-	reg.mu.Unlock()
-	s.st.count(reg)
-	return true
-}
-
-// serveReq handles one request and posts its response frame.
-func (s *Server) serveReq(w *connWriter, ctx *reqCtx) {
-	resp, err := s.handle(ctx.op, ctx.in, ctx.resp[:0])
-	status := statusOK
-	if err != nil {
-		status = statusErr
-		resp = append(resp[:0], err.Error()...)
-	}
-	w.post(ctx.tag, status, resp)
-	ctx.resp = resp[:0] // keep the grown backing array; post copied it out
-	if ctx.op == opShutdown && err == nil {
-		w.flushNow()
-		s.Close()
-	}
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(out)-start-4))
+	return out
 }
 
 // handle applies one request frame, appending the response payload to resp
-// and returning it.
+// and returning it. On error the caller discards whatever was appended.
 func (s *Server) handle(op byte, payload, resp []byte) ([]byte, error) {
 	p := &payloadReader{b: payload}
 	st := s.st
@@ -458,32 +282,31 @@ func (s *Server) handle(op byte, payload, resp []byte) ([]byte, error) {
 		if err != nil {
 			return resp, err
 		}
-		if cap(resp) < n {
-			resp = append(resp[:0], make([]byte, n)...)
-		}
-		resp = resp[:n]
 		reg.mu.Lock()
-		copy(resp, reg.b)
+		resp = append(resp, reg.b...)
 		reg.mu.Unlock()
 		st.count(reg)
 		return resp, nil
 
 	case opReadBatch:
 		count := int(p.u32())
-		for i := 0; i < count; i++ {
+		for i, total := 0, 0; i < count; i++ {
 			a := transport.Addr(p.u64())
 			n := int(p.u32())
 			if p.err != nil {
 				return resp, p.err
 			}
+			// A response past maxFrame would desynchronize the client's
+			// reader; refuse it rather than build it.
+			if total += n; total > maxFrame-5 {
+				return resp, fmt.Errorf("read batch response exceeds %d B", maxFrame)
+			}
 			reg, err := st.locate(a, n)
 			if err != nil {
 				return resp, err
 			}
-			off := len(resp)
-			resp = append(resp, make([]byte, n)...)
 			reg.mu.Lock()
-			copy(resp[off:], reg.b)
+			resp = append(resp, reg.b...)
 			reg.mu.Unlock()
 			st.count(reg)
 		}

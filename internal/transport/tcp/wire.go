@@ -12,16 +12,18 @@
 // payload. Requests carry an operation opcode and a caller-chosen tag;
 // the response echoes the tag and reuses the opcode slot as a status byte
 // (statusOK with a result payload, statusErr with a UTF-8 message). Tags
-// let many requests share one connection with responses returning in
-// completion order, not request order: the client keeps a bounded window
-// of tagged slots per server, a writer path coalesces queued frames into
-// single flushes, and a reader goroutine demuxes responses by tag (see
-// mux.go). A doorbell batch of dependent writes still coalesces into a
-// single WriteBatch frame — one network round trip, the §4.5 batching
-// mapped onto TCP.
+// let many requests share one connection: the client keeps a bounded
+// window of tagged slots per server, a writer path coalesces queued frames
+// into single flushes, and a reader goroutine demuxes responses by tag (see
+// mux.go). Clients rely on the tag alone, never on response order. A
+// doorbell batch of dependent writes still coalesces into a single
+// WriteBatch frame — one network round trip, the §4.5 batching mapped onto
+// TCP.
 //
-// The server applies each operation under striped per-chunk locks, so
-// concurrent tagged requests to different chunks proceed in parallel.
+// The server serves each connection on one goroutine, applying its frames
+// inline in arrival order and answering a whole inbound burst with one
+// Write. Connections share the store under striped per-chunk locks, so
+// different clients' requests to different chunks proceed in parallel.
 // Each individual verb — and each op of a batch, applied in posted
 // order — is atomic under its stripe, which is exactly the per-verb
 // atomicity RDMA provides; see DESIGN.md §13 for why the tree protocol
@@ -185,16 +187,6 @@ func (p *payloadReader) u16() uint16 {
 	}
 	v := binary.LittleEndian.Uint16(p.b[p.off:])
 	p.off += 2
-	return v
-}
-
-func (p *payloadReader) u8() uint8 {
-	if p.err != nil || p.off+1 > len(p.b) {
-		p.fail()
-		return 0
-	}
-	v := p.b[p.off]
-	p.off++
 	return v
 }
 
