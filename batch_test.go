@@ -1,6 +1,7 @@
 package sherman
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -8,8 +9,9 @@ import (
 )
 
 // TestBatchSequentialEquivalenceProperty checks, for deterministic seeds,
-// through the public API, that PutBatch/GetBatch/DeleteBatch are observably
-// equivalent to the same operations applied sequentially — including
+// through the public API, that single-kind Exec batches of puts, gets and
+// deletes are observably equivalent to the same operations applied
+// sequentially — including
 // batches that straddle leaf splits and deletes of absent keys — across
 // the shared harness's ablation grid.
 func TestBatchSequentialEquivalenceProperty(t *testing.T) {
@@ -23,7 +25,7 @@ func TestBatchSequentialEquivalenceProperty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return testTree(t, c, opts).Session(0)
+					return mustSession(t, testTree(t, c, opts), 0)
 				}
 				seq, bat := mk(), mk()
 
@@ -32,42 +34,44 @@ func TestBatchSequentialEquivalenceProperty(t *testing.T) {
 					n := int(rng.Uint64N(80)) + 1
 					switch rng.Uint64N(3) {
 					case 0:
-						kvs := make([]KV, n)
-						for i := range kvs {
-							kvs[i] = KV{Key: rng.Uint64N(keySpace) + 1, Value: rng.Uint64() | 1}
+						ops := make([]Op, n)
+						for i := range ops {
+							ops[i] = PutOp(rng.Uint64N(keySpace)+1, rng.Uint64()|1)
+							mustPut(t, seq, ops[i].Key, ops[i].Value)
 						}
-						for _, kv := range kvs {
-							seq.Put(kv.Key, kv.Value)
+						for i, r := range bat.Exec(ops) {
+							if r.Err != nil {
+								t.Fatalf("Exec put %d: %v", ops[i].Key, r.Err)
+							}
 						}
-						bat.PutBatch(kvs)
 					case 1:
-						keys := make([]uint64, n)
-						for i := range keys {
-							keys[i] = rng.Uint64N(2*keySpace) + 1 // half absent
+						ops := make([]Op, n)
+						for i := range ops {
+							ops[i] = DeleteOp(rng.Uint64N(2*keySpace) + 1) // half absent
 						}
-						got := bat.DeleteBatch(keys)
-						for i, k := range keys {
-							if want := seq.Delete(k); got[i] != want {
-								t.Fatalf("DeleteBatch(%d) = %v, want %v", k, got[i], want)
+						for i, r := range bat.Exec(ops) {
+							k := ops[i].Key
+							if want := mustDelete(t, seq, k); r.Err != nil || r.Found != want {
+								t.Fatalf("Exec delete(%d) = (%v,%v), want %v", k, r.Found, r.Err, want)
 							}
 						}
 					default:
-						keys := make([]uint64, n)
-						for i := range keys {
-							keys[i] = rng.Uint64N(keySpace) + 1
+						ops := make([]Op, n)
+						for i := range ops {
+							ops[i] = GetOp(rng.Uint64N(keySpace) + 1)
 						}
-						vals, found := bat.GetBatch(keys)
-						for i, k := range keys {
-							wv, wok := seq.Get(k)
-							if found[i] != wok || (wok && vals[i] != wv) {
-								t.Fatalf("GetBatch(%d) = (%d,%v), want (%d,%v)", k, vals[i], found[i], wv, wok)
+						for i, r := range bat.Exec(ops) {
+							k := ops[i].Key
+							wv, wok := mustGet(t, seq, k)
+							if r.Err != nil || r.Found != wok || (wok && r.Value != wv) {
+								t.Fatalf("Exec get(%d) = (%d,%v,%v), want (%d,%v)", k, r.Value, r.Found, r.Err, wv, wok)
 							}
 						}
 					}
 				}
 				for k := uint64(1); k <= keySpace; k++ {
-					wv, wok := seq.Get(k)
-					gv, gok := bat.Get(k)
+					wv, wok := mustGet(t, seq, k)
+					gv, gok := mustGet(t, bat, k)
 					if wok != gok || (wok && wv != gv) {
 						t.Fatalf("final key %d mismatch: batch (%d,%v), sequential (%d,%v)", k, gv, gok, wv, wok)
 					}
@@ -106,29 +110,31 @@ func TestBatchConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tree.Session(w % c.ComputeServers())
+			s, err := tree.SessionAt(w % c.ComputeServers())
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			rng := testutil.RNG(uint64(w) + 1)
 			ref := make(map[uint64]uint64)
 			base := uint64(w)*100_000 + 1
 			for round := 0; round < 25; round++ {
-				n := int(rng.Uint64N(40)) + 1
-				if rng.Uint64N(4) == 0 {
-					keys := make([]uint64, n)
-					for i := range keys {
-						keys[i] = base + rng.Uint64N(400)
-					}
-					s.DeleteBatch(keys)
-					for _, k := range keys {
+				ops := make([]Op, int(rng.Uint64N(40))+1)
+				del := rng.Uint64N(4) == 0
+				for i := range ops {
+					k := base + rng.Uint64N(400)
+					if del {
+						ops[i] = DeleteOp(k)
 						delete(ref, k)
+					} else {
+						ops[i] = PutOp(k, rng.Uint64()|1)
+						ref[k] = ops[i].Value
 					}
-				} else {
-					kvs := make([]KV, n)
-					for i := range kvs {
-						kvs[i] = KV{Key: base + rng.Uint64N(400), Value: rng.Uint64() | 1}
-					}
-					s.PutBatch(kvs)
-					for _, kv := range kvs {
-						ref[kv.Key] = kv.Value
+				}
+				for i, r := range s.Exec(ops) {
+					if r.Err != nil {
+						t.Errorf("worker %d: Exec op %+v: %v", w, ops[i], r.Err)
+						return
 					}
 				}
 			}
@@ -136,20 +142,23 @@ func TestBatchConcurrentSessions(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
 
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate after concurrent batch churn: %v", err)
 	}
-	s := tree.Session(0)
+	s := mustSession(t, tree, 0)
 	for w, ref := range refs {
-		keys := make([]uint64, 0, len(ref))
+		ops := make([]Op, 0, len(ref))
 		for k := range ref {
-			keys = append(keys, k)
+			ops = append(ops, GetOp(k))
 		}
-		vals, found := s.GetBatch(keys)
-		for i, k := range keys {
-			if !found[i] || vals[i] != ref[k] {
-				t.Fatalf("worker %d key %d: GetBatch = (%d,%v), want (%d,true)", w, k, vals[i], found[i], ref[k])
+		for i, r := range s.Exec(ops) {
+			k := ops[i].Key
+			if r.Err != nil || !r.Found || r.Value != ref[k] {
+				t.Fatalf("worker %d key %d: Exec get = (%d,%v,%v), want (%d,true)", w, k, r.Value, r.Found, r.Err, ref[k])
 			}
 		}
 	}
@@ -163,29 +172,22 @@ func TestBatchConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestBatchEmptyAndKeyZero covers the degenerate inputs.
+// TestBatchEmptyAndKeyZero covers the degenerate inputs: an empty batch, and
+// a batch of nothing but reserved-key writes, which errors in place and
+// leaves the tree untouched.
 func TestBatchEmptyAndKeyZero(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
-	s.PutBatch(nil)
-	if v, f := s.GetBatch(nil); len(v) != 0 || len(f) != 0 {
-		t.Error("GetBatch(nil) returned non-empty slices")
+	s := mustSession(t, tree, 0)
+	if res := s.Exec(nil); len(res) != 0 {
+		t.Errorf("Exec(nil) = %v, want no results", res)
 	}
-	if f := s.DeleteBatch(nil); len(f) != 0 {
-		t.Error("DeleteBatch(nil) returned non-empty slice")
+	for i, r := range s.Exec([]Op{PutOp(0, 1), DeleteOp(0)}) {
+		if !errors.Is(r.Err, ErrReservedKey) || r.Found {
+			t.Errorf("Exec key-0 slot %d = %+v, want ErrReservedKey", i, r)
+		}
 	}
-	for name, fn := range map[string]func(){
-		"PutBatch":    func() { s.PutBatch([]KV{{Key: 0, Value: 1}}) },
-		"DeleteBatch": func() { s.DeleteBatch([]uint64{0}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with key 0 did not panic", name)
-				}
-			}()
-			fn()
-		}()
+	if st := s.Stats(); st.Batches != 0 || st.Inserts != 0 || st.Deletes != 0 {
+		t.Errorf("rejected batch reached the tree: %+v", st)
 	}
 }

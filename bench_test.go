@@ -285,10 +285,12 @@ func BenchmarkPublicAPIPut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := tree.Session(0)
+	s := mustSession(b, tree, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Put(uint64(i)+1, uint64(i))
+		if err := s.Put(uint64(i)+1, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -309,9 +311,11 @@ func BenchmarkPublicAPIGet(b *testing.B) {
 	if err := tree.Bulkload(kvs); err != nil {
 		b.Fatal(err)
 	}
-	s := tree.Session(0)
+	s := mustSession(b, tree, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Get(uint64(i%100_000) + 1)
+		if _, _, err := s.Get(uint64(i%100_000) + 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -180,6 +180,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.Fabric.validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.validateServers(); err != nil {
+		return nil, err
+	}
 	switch cfg.Transport {
 	case "", TransportSim:
 		return newSimCluster(cfg)
@@ -190,24 +193,38 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 }
 
+// maxMemoryServers bounds the memory-server count on every fabric: remote
+// addresses carry a 15-bit server id.
+const maxMemoryServers = 1 << 15
+
+// validateServers checks the bounds both fabrics share — the memory-server
+// count (len(Endpoints) when given) and the replication factor — before any
+// fabric is built, so an out-of-range TCP config fails without launching a
+// single shermand.
+func (cfg ClusterConfig) validateServers() error {
+	n := cfg.MemoryServers
+	if len(cfg.Endpoints) != 0 {
+		n = len(cfg.Endpoints)
+	}
+	switch {
+	case n <= 0:
+		return errors.New("sherman: MemoryServers must be positive when no Endpoints are given")
+	case n > maxMemoryServers:
+		return fmt.Errorf("sherman: %d memory servers exceed the 15-bit server id space", n)
+	case cfg.ReplicationFactor < 0 || cfg.ReplicationFactor > alloc.MaxReplicationFactor:
+		return fmt.Errorf("sherman: ReplicationFactor %d outside [0, %d]", cfg.ReplicationFactor, alloc.MaxReplicationFactor)
+	case cfg.ReplicationFactor > n:
+		return fmt.Errorf("sherman: ReplicationFactor %d exceeds %d memory servers", cfg.ReplicationFactor, n)
+	}
+	return nil
+}
+
 func newSimCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.MemoryServers <= 0 {
-		return nil, errors.New("sherman: MemoryServers must be positive")
-	}
-	if cfg.MemoryServers > 1<<15 {
-		return nil, fmt.Errorf("sherman: MemoryServers %d exceeds the 15-bit server id space", cfg.MemoryServers)
-	}
 	if len(cfg.Endpoints) != 0 {
 		return nil, fmt.Errorf("sherman: Endpoints are TransportTCP-only (transport is %q)", TransportSim)
 	}
-	if cfg.MaxMemoryServers != 0 && (cfg.MaxMemoryServers < cfg.MemoryServers || cfg.MaxMemoryServers > 1<<15) {
-		return nil, fmt.Errorf("sherman: MaxMemoryServers %d outside [%d, %d]", cfg.MaxMemoryServers, cfg.MemoryServers, 1<<15)
-	}
-	if cfg.ReplicationFactor < 0 || cfg.ReplicationFactor > alloc.MaxReplicationFactor {
-		return nil, fmt.Errorf("sherman: ReplicationFactor %d outside [0, %d]", cfg.ReplicationFactor, alloc.MaxReplicationFactor)
-	}
-	if cfg.ReplicationFactor > cfg.MemoryServers {
-		return nil, fmt.Errorf("sherman: ReplicationFactor %d exceeds MemoryServers %d", cfg.ReplicationFactor, cfg.MemoryServers)
+	if cfg.MaxMemoryServers != 0 && (cfg.MaxMemoryServers < cfg.MemoryServers || cfg.MaxMemoryServers > maxMemoryServers) {
+		return nil, fmt.Errorf("sherman: MaxMemoryServers %d outside [%d, %d]", cfg.MaxMemoryServers, cfg.MemoryServers, maxMemoryServers)
 	}
 	p := cfg.Fabric.toSim()
 	if err := p.Validate(); err != nil {
@@ -227,18 +244,12 @@ func newTCPCluster(cfg ClusterConfig) (*Cluster, error) {
 	if f := cfg.Fabric.firstSet(); f != "" {
 		return nil, fmt.Errorf("%w: %s is set, but Transport %q has no simulated fabric to tune", ErrBadFabricParams, f, TransportTCP)
 	}
-	if cfg.ReplicationFactor < 0 || cfg.ReplicationFactor > alloc.MaxReplicationFactor {
-		return nil, fmt.Errorf("sherman: ReplicationFactor %d outside [0, %d]", cfg.ReplicationFactor, alloc.MaxReplicationFactor)
-	}
 	if cfg.MaxMemoryServers != 0 {
 		return nil, fmt.Errorf("%w: MaxMemoryServers (online scale-out)", ErrSimOnly)
 	}
 	endpoints := cfg.Endpoints
 	var ts *tcp.LocalServers
 	if len(endpoints) == 0 {
-		if cfg.MemoryServers <= 0 {
-			return nil, errors.New("sherman: MemoryServers must be positive when no Endpoints are given")
-		}
 		var err error
 		ts, err = tcp.LaunchLocal(cfg.MemoryServers)
 		if err != nil {
@@ -247,12 +258,6 @@ func newTCPCluster(cfg ClusterConfig) (*Cluster, error) {
 		endpoints = ts.Endpoints
 	} else if cfg.MemoryServers != 0 && cfg.MemoryServers != len(endpoints) {
 		return nil, fmt.Errorf("sherman: MemoryServers %d does not match %d Endpoints", cfg.MemoryServers, len(endpoints))
-	}
-	if cfg.ReplicationFactor > len(endpoints) {
-		if ts != nil {
-			ts.Stop()
-		}
-		return nil, fmt.Errorf("sherman: ReplicationFactor %d exceeds %d memory servers", cfg.ReplicationFactor, len(endpoints))
 	}
 	tc, err := tcp.NewCluster(endpoints, cfg.ComputeServers, tcp.Options{
 		ReplicationFactor: cfg.ReplicationFactor,

@@ -120,7 +120,7 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 						for j := int64(0); time.Now().Before(deadline); j++ {
 							if acked != nil && j%tfStripeEvery == 0 {
 								k := tfStripeKey(w, acked[w])
-								if err := s.PutE(k, tfValue(k)); err != nil {
+								if err := s.Put(k, tfValue(k)); err != nil {
 									return err
 								}
 								acked[w]++
@@ -128,15 +128,15 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 								key := uint64(r.Intn(keySpace)) + 1
 								switch v := r.Intn(100); {
 								case v < 50:
-									if err := s.PutE(key, tfValue(key)); err != nil {
+									if err := s.Put(key, tfValue(key)); err != nil {
 										return err
 									}
 								case v < 80:
-									if _, _, err := s.GetE(key); err != nil {
+									if _, _, err := s.Get(key); err != nil {
 										return err
 									}
 								default:
-									if _, err := s.DeleteE(key); err != nil {
+									if _, err := s.Delete(key); err != nil {
 										return err
 									}
 								}
@@ -217,7 +217,7 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 		base := tfStripeKey(w, 0)
 		for j := int64(0); j < cnt; j++ {
 			k := tfStripeKey(w, j)
-			v, ok, err := check.GetE(k)
+			v, ok, err := check.Get(k)
 			if err != nil {
 				return nil, res, err
 			}
@@ -225,7 +225,7 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 				res.LostAcked++
 			}
 		}
-		kvs, err := check.ScanE(base, int(cnt)+8)
+		kvs, err := check.Scan(base, int(cnt)+8)
 		if err != nil {
 			return nil, res, err
 		}

@@ -30,35 +30,34 @@
 // # Usage
 //
 // Open a simulated cluster, create a tree, then open one Session per worker
-// goroutine:
+// goroutine. Each verb has one blocking form, and each returns an error
+// (ErrReservedKey for key 0, ErrSessionDead once the session's compute
+// server has crashed):
 //
 //	cluster, err := sherman.NewCluster(sherman.ClusterConfig{MemoryServers: 8, ComputeServers: 8})
 //	tree, err := cluster.CreateTree(sherman.DefaultTreeOptions())
-//	s := tree.Session(0)
-//	s.Put(42, 1000)
-//	v, ok := s.Get(42)
-//	kvs := s.Scan(40, 10)
+//	s, err := tree.SessionAt(0)
+//	err = s.Put(42, 1000)
+//	v, ok, err := s.Get(42)
+//	found, err := s.Delete(42)
+//	kvs, err := s.Scan(40, 10)
 //
-// Bulk work goes through the batch planner — observably equivalent to the
-// same operations applied in order, but amortizing traversals, leaf locks
-// and doorbells across operations that share a leaf:
-//
-//	s.PutBatch([]sherman.KV{{Key: 1, Value: 10}, {Key: 2, Value: 20}})
-//	vals, found := s.GetBatch([]uint64{1, 2, 3})
-//	deleted := s.DeleteBatch([]uint64{1, 3})
-//
-// The unified Op/Result API pipelines operations the way the paper's
-// clients run multiple coroutines per thread to hide round-trip latency: a
-// session opened with a pipeline depth keeps that many operations
-// outstanding, overlapping their round trips while preserving sequential
-// semantics (same-key operations never reorder), and reports typed errors
-// (ErrReservedKey, ErrBadComputeServer) instead of panicking:
+// Submit and Exec pipeline operations the way the paper's clients run
+// multiple coroutines per thread to hide round-trip latency: a session
+// opened with a pipeline depth keeps that many operations outstanding,
+// overlapping their round trips while preserving sequential semantics
+// (same-key operations never reorder). Exec runs a mixed batch through the
+// batch planner, amortizing traversals, leaf locks and doorbells across
+// operations that share a leaf. Both carry typed errors in Result.Err:
 //
 //	s, err := tree.SessionAt(0, sherman.PipelineDepth(4))
 //	f := s.Submit(sherman.PutOp(42, 1000))
 //	r := s.Submit(sherman.GetOp(42)).Wait() // sees the put
 //	results := s.Exec([]sherman.Op{sherman.PutOp(1, 10), sherman.GetOp(2)})
-//	s.Flush()
+//	err = s.Flush()
+//
+// A Cursor iterates a key range leaf by leaf; check its Err once Next
+// reports the end.
 //
 // Sessions are deliberately single-goroutine (they model one client thread of
 // the paper); open as many as you like across compute servers.

@@ -30,11 +30,11 @@ func elasticTree(t *testing.T, nodeSize int) (*Cluster, *Tree) {
 
 func TestAddMemoryServerAndRebalance(t *testing.T) {
 	c, tr := elasticTree(t, 256)
-	s := tr.Session(0)
+	s := mustSession(t, tr, 0)
 
 	// Generate load so the picker has a signal.
 	for k := uint64(1); k <= 2000; k += 3 {
-		s.Get(k)
+		mustGet(t, s, k)
 	}
 	ms, err := c.AddMemoryServer()
 	if err != nil {
@@ -60,7 +60,7 @@ func TestAddMemoryServerAndRebalance(t *testing.T) {
 
 	// The tree must be fully intact through both sessions (old and fresh).
 	for k := uint64(1); k <= 2000; k++ {
-		if v, ok := s.Get(k); !ok || v != (k-1)*3+7 {
+		if v, ok := mustGet(t, s, k); !ok || v != (k-1)*3+7 {
 			t.Fatalf("post-rebalance Get(%d) = (%d,%v)", k, v, ok)
 		}
 	}
@@ -73,9 +73,9 @@ func TestAddMemoryServerAndRebalance(t *testing.T) {
 	if len(loads0) != 2 {
 		t.Fatalf("loads = %+v", loads0)
 	}
-	s2 := tr.Session(1)
+	s2 := mustSession(t, tr, 1)
 	for k := uint64(5000); k < 7000; k++ {
-		s2.Put(k, k)
+		mustPut(t, s2, k, k)
 	}
 	loads := c.MemoryServerLoads()
 	if loads[1].InboundOps-loads0[1].InboundOps == 0 {
@@ -96,8 +96,8 @@ func TestDrainMemoryServer(t *testing.T) {
 	if err := tr.Bulkload(kvs); err != nil {
 		t.Fatal(err)
 	}
-	s := tr.Session(0)
-	s.Get(1)
+	s := mustSession(t, tr, 0)
+	mustGet(t, s, 1)
 
 	st, err := c.DrainMemoryServer(1, 0)
 	if err != nil {
@@ -110,14 +110,14 @@ func TestDrainMemoryServer(t *testing.T) {
 		t.Fatalf("Validate after drain: %v", err)
 	}
 	for k := uint64(1); k <= 1500; k++ {
-		if v, ok := s.Get(k); !ok || v != k {
+		if v, ok := mustGet(t, s, k); !ok || v != k {
 			t.Fatalf("post-drain Get(%d) = (%d,%v)", k, v, ok)
 		}
 	}
 	// Writes after the drain must not land on the drained server.
 	before := c.MemoryServerLoads()[1].InboundOps
 	for k := uint64(10_000); k < 12_000; k++ {
-		s.Put(k, k)
+		mustPut(t, s, k, k)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -203,17 +203,17 @@ func TestRebalanceDuringConcurrentSessions(t *testing.T) {
 			t.FailNow()
 		}
 
-		s := tr.Session(0)
+		s := mustSession(t, tr, 0)
 		for w, ref := range refs {
 			for k, v := range ref {
-				if got, ok := s.Get(k); !ok || got != v {
+				if got, ok := mustGet(t, s, k); !ok || got != v {
 					t.Fatalf("worker %d key %d = (%d,%v), want (%d,true)", w, k, got, ok, v)
 				}
 			}
 		}
 		// Bulkloaded keys survived too.
 		for k := uint64(1); k <= 2000; k += 37 {
-			if v, ok := s.Get(k); !ok || v != (k-1)*3+7 {
+			if v, ok := mustGet(t, s, k); !ok || v != (k-1)*3+7 {
 				t.Fatalf("bulk key %d = (%d,%v)", k, v, ok)
 			}
 		}

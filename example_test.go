@@ -21,28 +21,41 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	s := tree.Session(0)
-	s.Put(7, 700)
-	if v, ok := s.Get(7); ok {
+	s, err := tree.SessionAt(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := s.Put(7, 700); err != nil {
+		log.Fatal(err)
+	}
+	if v, ok, err := s.Get(7); err == nil && ok {
 		fmt.Println("got", v)
 	}
-	s.Delete(7)
-	_, ok := s.Get(7)
-	fmt.Println("after delete:", ok)
+	if _, err := s.Delete(7); err != nil {
+		log.Fatal(err)
+	}
+	_, ok, err := s.Get(7)
+	fmt.Println("after delete:", ok, err)
 	// Output:
 	// got 700
-	// after delete: false
+	// after delete: false <nil>
 }
 
 // Scans return key-ordered rows starting at the given key.
 func ExampleSession_Scan() {
 	cluster, _ := sherman.NewCluster(sherman.ClusterConfig{MemoryServers: 1, ComputeServers: 1})
 	tree, _ := cluster.CreateTree(sherman.DefaultTreeOptions())
-	s := tree.Session(0)
+	s, _ := tree.SessionAt(0)
 	for k := uint64(1); k <= 10; k++ {
-		s.Put(k, k*k)
+		if err := s.Put(k, k*k); err != nil {
+			log.Fatal(err)
+		}
 	}
-	for _, kv := range s.Scan(4, 3) {
+	kvs, err := s.Scan(4, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, kv := range kvs {
 		fmt.Println(kv.Key, kv.Value)
 	}
 	// Output:
@@ -59,20 +72,23 @@ func ExampleTree_Bulkload() {
 	if err := tree.Bulkload(kvs); err != nil {
 		log.Fatal(err)
 	}
-	v, _ := tree.Session(0).Get(20)
-	fmt.Println(v)
-	// Output: 2
+	s, _ := tree.SessionAt(0)
+	v, _, err := s.Get(20)
+	fmt.Println(v, err)
+	// Output: 2 <nil>
 }
 
 // The FG+ baseline runs on the same API: only the options differ.
 func ExampleFGPlusTreeOptions() {
 	cluster, _ := sherman.NewCluster(sherman.ClusterConfig{MemoryServers: 1, ComputeServers: 1})
 	tree, _ := cluster.CreateTree(sherman.FGPlusTreeOptions())
-	s := tree.Session(0)
-	s.Put(1, 100)
-	v, _ := s.Get(1)
-	fmt.Println(v)
-	// Output: 100
+	s, _ := tree.SessionAt(0)
+	if err := s.Put(1, 100); err != nil {
+		log.Fatal(err)
+	}
+	v, _, err := s.Get(1)
+	fmt.Println(v, err)
+	// Output: 100 <nil>
 }
 
 // Advanced options enable each of Sherman's techniques individually, which
@@ -87,24 +103,30 @@ func ExampleAdvancedOptions() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := tree.Session(0)
-	s.Put(5, 50)
-	v, _ := s.Get(5)
-	fmt.Println(v)
-	// Output: 50
+	s, _ := tree.SessionAt(0)
+	if err := s.Put(5, 50); err != nil {
+		log.Fatal(err)
+	}
+	v, _, err := s.Get(5)
+	fmt.Println(v, err)
+	// Output: 50 <nil>
 }
 
 // Stats and Compact support offline maintenance of delete-heavy trees.
 func ExampleTree_Compact() {
 	cluster, _ := sherman.NewCluster(sherman.ClusterConfig{MemoryServers: 1, ComputeServers: 1})
 	tree, _ := cluster.CreateTree(sherman.DefaultTreeOptions())
-	s := tree.Session(0)
+	s, _ := tree.SessionAt(0)
 	for k := uint64(1); k <= 2000; k++ {
-		s.Put(k, k)
+		if err := s.Put(k, k); err != nil {
+			log.Fatal(err)
+		}
 	}
 	for k := uint64(1); k <= 2000; k++ {
 		if k%10 != 0 {
-			s.Delete(k)
+			if _, err := s.Delete(k); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 	res := tree.Compact()

@@ -44,7 +44,9 @@ func main() {
 		log.Fatal(err)
 	}
 	for k := uint64(1); k <= 100; k++ {
-		doomed.Put(k, k*1000)
+		if err := doomed.Put(k, k*1000); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// ...then its compute server dies in the middle of the next write: the
@@ -64,10 +66,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if v, ok := surv.Get(50); ok {
+	if v, ok, err := surv.Get(50); err != nil || !ok {
+		log.Fatalf("acked write lost: Get(50) = (%d,%v,%v)", v, ok, err)
+	} else {
 		fmt.Printf("acked write survived: key 50 = %d\n", v)
 	}
-	surv.Put(50, 42) // same leaf range the dead client wrote
+	if err := surv.Put(50, 42); err != nil { // same leaf range the dead client wrote
+		log.Fatal(err)
+	}
 	ls := tree.LockStats()
 	fmt.Printf("lease expiries: %d, reclaims: %d\n", ls.LeaseExpiries, ls.Reclaims)
 	if ls.Reclaims == 0 {
@@ -97,8 +103,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fresh.Put(7, 777)
-	if v, ok := fresh.Get(7); ok {
+	if err := fresh.Put(7, 777); err != nil {
+		log.Fatal(err)
+	}
+	if v, ok, err := fresh.Get(7); err == nil && ok {
 		fmt.Printf("restarted server serving again: key 7 = %d\n", v)
 	}
 }

@@ -37,26 +37,45 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Single-session basics.
-	s := tree.Session(0)
-	if v, ok := s.Get(42); ok {
+	// Single-session basics. Every blocking call returns an error: a put or
+	// delete of reserved key 0 reports ErrReservedKey, and any call on a
+	// session whose compute server crashed reports ErrSessionDead.
+	s, err := tree.SessionAt(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if v, ok, err := s.Get(42); err != nil {
+		log.Fatal(err)
+	} else if ok {
 		fmt.Printf("Get(42)        = %d\n", v)
 	}
-	s.Put(42, 4242) // update in place
-	s.Put(5000, 1)  // insert a new key
-	if v, ok := s.Get(42); ok {
+	if err := s.Put(42, 4242); err != nil { // update in place
+		log.Fatal(err)
+	}
+	if err := s.Put(5000, 1); err != nil { // insert a new key
+		log.Fatal(err)
+	}
+	if v, ok, err := s.Get(42); err != nil {
+		log.Fatal(err)
+	} else if ok {
 		fmt.Printf("after Put(42)  = %d\n", v)
 	}
-	if s.Delete(7) {
+	if ok, err := s.Delete(7); err != nil {
+		log.Fatal(err)
+	} else if ok {
 		fmt.Println("Delete(7)      = ok")
 	}
-	if _, ok := s.Get(7); !ok {
+	if _, ok, err := s.Get(7); err == nil && !ok {
 		fmt.Println("Get(7)         = not found (deleted)")
 	}
 
 	// Range scan: 5 pairs starting at key 40.
 	fmt.Println("Scan(40, 5):")
-	for _, kv := range s.Scan(40, 5) {
+	kvs, err = s.Scan(40, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, kv := range kvs {
 		fmt.Printf("  %4d -> %d\n", kv.Key, kv.Value)
 	}
 
@@ -64,13 +83,17 @@ func main() {
 	// leaf-at-a-time under the hood instead of hand-rolled
 	// resume-from-last-key loops.
 	count, sum := 0, uint64(0)
-	for cur := s.Cursor(900); ; {
+	cur := s.Cursor(900)
+	for {
 		kv, ok := cur.Next()
 		if !ok || kv.Key > 950 {
 			break
 		}
 		count++
 		sum += kv.Value
+	}
+	if err := cur.Err(); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("Cursor(900..950): %d rows, value sum %d\n", count, sum)
 
@@ -103,7 +126,7 @@ func main() {
 		st.PipelinedOps, st.LatencyHidingRatio)
 
 	// Exec applies a mixed batch — puts, gets, deletes, scans in one call —
-	// through the batch planner, with typed errors instead of panics.
+	// through the batch planner, with a typed error in each Result.
 	results := ps.Exec([]sherman.Op{
 		sherman.PutOp(500, 1),
 		sherman.GetOp(500),
@@ -121,14 +144,19 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := tree.Session(w % cluster.ComputeServers())
+			sess, err := tree.SessionAt(w % cluster.ComputeServers())
+			if err != nil {
+				log.Fatal(err)
+			}
 			base := uint64(10_000 + w*1000)
 			for i := uint64(0); i < 200; i++ {
-				sess.Put(base+i, i)
+				if err := sess.Put(base+i, i); err != nil {
+					log.Fatal(err)
+				}
 			}
 			for i := uint64(0); i < 200; i++ {
-				if v, ok := sess.Get(base + i); !ok || v != i {
-					log.Fatalf("worker %d: Get(%d) = %d,%v; want %d", w, base+i, v, ok, i)
+				if v, ok, err := sess.Get(base + i); err != nil || !ok || v != i {
+					log.Fatalf("worker %d: Get(%d) = %d,%v,%v; want %d", w, base+i, v, ok, err, i)
 				}
 			}
 		}(w)

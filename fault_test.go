@@ -27,7 +27,7 @@ func TestKilledSessionReportsErrSessionDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(7, 77)
+	mustPut(t, s, 7, 77)
 	if err := c.KillComputeServer(1); err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,9 @@ func TestKilledSessionReportsErrSessionDead(t *testing.T) {
 	if err := s.Flush(); !errors.Is(err, ErrSessionDead) {
 		t.Fatalf("Flush on dead session: err = %v, want ErrSessionDead", err)
 	}
-	func() {
-		defer func() {
-			if r := recover(); !errors.Is(r.(error), ErrSessionDead) {
-				t.Fatalf("legacy Get on dead session panicked with %v, want ErrSessionDead", r)
-			}
-		}()
-		s.Get(7)
-	}()
+	if _, _, err := s.Get(7); !errors.Is(err, ErrSessionDead) {
+		t.Fatalf("Get on dead session: err = %v, want ErrSessionDead", err)
+	}
 
 	// Survivors keep serving; the cluster recovers; restart revives the
 	// server for new sessions (the old one stays dead).
@@ -67,7 +62,7 @@ func TestKilledSessionReportsErrSessionDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := surv.Get(7); !ok || v != 77 {
+	if v, ok := mustGet(t, surv, 7); !ok || v != 77 {
 		t.Fatalf("acked write lost after crash: (%d,%v)", v, ok)
 	}
 	if _, err := tr.Recover(0); err != nil {
@@ -86,8 +81,8 @@ func TestKilledSessionReportsErrSessionDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.Put(9, 99)
-	if v, ok := fresh.Get(9); !ok || v != 99 {
+	mustPut(t, fresh, 9, 99)
+	if v, ok := mustGet(t, fresh, 9); !ok || v != 99 {
 		t.Fatalf("restarted CS session broken: (%d,%v)", v, ok)
 	}
 }
@@ -127,7 +122,7 @@ func TestMidFlightCrashResolvesFutures(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if v, ok := surv.Get(uint64(600 + i)); ok && v != 1 {
+			if v, ok := mustGet(t, surv, uint64(600+i)); ok && v != 1 {
 				t.Fatalf("torn write: key %d = %d", 600+i, v)
 			}
 		}

@@ -45,12 +45,9 @@ type Async struct {
 	// and scans start after it (later reads may overlap — a scan writes
 	// nothing they could observe).
 	barrier int64
-	// busyLo/busyHi bound the current merged busy interval, used to
-	// accumulate the union of execution intervals (the latency-hiding
-	// denominator). Tracking both ends keeps the union exact when a
-	// dependency-stalled op raises the high mark past a later op's
-	// earlier start.
-	busyLo, busyHi int64
+	// busy accumulates the union of execution intervals, the latency-hiding
+	// denominator.
+	busy busyUnion
 
 	// runOp/runIssueV/runRes frame the operation runFn executes. runFn is
 	// bound once at construction so Submit passes no per-op closure through
@@ -75,13 +72,15 @@ type keyDep struct {
 // NewAsync wraps h in a pipelined executor bounded to depth outstanding
 // operations (clamped to >= 1). Depth 1 is the synchronous client: ops run
 // back-to-back on the handle's own clock with no issue overhead and no
-// pipeline accounting, so legacy callers are unchanged.
+// pipeline accounting, so synchronous callers are unchanged.
 func (h *Handle) NewAsync(depth int) *Async {
 	a := &Async{h: h, lanes: sim.NewLanes(depth), deps: make(map[uint64]keyDep)}
 	if a.lanes.N() > 1 {
 		a.issueNS = h.tm.PipelineIssueNS
 	}
-	a.runFn = func() { a.runRes = a.run(a.runOp, a.runIssueV) }
+	// The recorded latency is issue-to-completion, the latency a pipelined
+	// client observes (at depth 1 it equals the execution latency).
+	a.runFn = func() { a.runRes = h.execOp(a.runOp, a.runIssueV) }
 	if depth > 1 && h.vt == nil {
 		a.real = newRealExec(a, depth)
 	}
@@ -198,43 +197,6 @@ func (a *Async) Submit(op Op) (OpResult, int64) {
 	return res, done
 }
 
-// run executes one operation on the current (lane) timeline, with the same
-// per-op accounting as the synchronous entry points. issueV is the driver
-// clock at issue; the recorded latency is issue-to-completion, the latency
-// a pipelined client observes (at depth 1 it equals the execution latency).
-func (a *Async) run(op Op, issueV int64) OpResult {
-	h := a.h
-	h.m.BeginOp()
-	switch op.Kind {
-	case stats.OpLookup:
-		v, found := h.lookupInner(op.Key)
-		h.Rec.RecordOp(stats.OpLookup, h.C.Now()-issueV)
-		return OpResult{Value: v, Found: found}
-	case stats.OpInsert:
-		dataBytes := h.insertInner(op.Key, op.Value)
-		h.Rec.RecordOp(stats.OpInsert, h.C.Now()-issueV)
-		h.Rec.WriteRoundTrips.Record(int(h.m.OpRoundTrips))
-		h.Rec.WriteSizes.Record(dataBytes)
-		return OpResult{}
-	case stats.OpDelete:
-		found, dataBytes := h.deleteInner(op.Key)
-		h.Rec.RecordOp(stats.OpDelete, h.C.Now()-issueV)
-		h.Rec.WriteRoundTrips.Record(int(h.m.OpRoundTrips))
-		if found {
-			h.Rec.WriteSizes.Record(dataBytes)
-		}
-		return OpResult{Found: found}
-	case stats.OpRange:
-		if op.Span <= 0 {
-			return OpResult{}
-		}
-		out := h.rangeInner(op.Key, op.Span)
-		h.Rec.RecordOp(stats.OpRange, h.C.Now()-issueV)
-		return OpResult{KVs: out}
-	}
-	return OpResult{}
-}
-
 // noteCompletion updates the ordering state with op's completion horizon.
 func (a *Async) noteCompletion(op Op, done int64) {
 	switch op.Kind {
@@ -281,30 +243,41 @@ func (a *Async) sweepDeps() {
 
 // recordPipeline accumulates the depth sample and latency-hiding terms for
 // one executed unit. Depth-1 executors skip it so synchronous sessions
-// report clean (empty) pipeline metrics. The busy union is maintained as
-// one merged interval [busyLo, busyHi]: issue order keeps execution
-// intervals overlapping or adjacent, so extending either end counts
-// exactly the uncovered part of each new interval.
+// report clean (empty) pipeline metrics.
 func (a *Async) recordPipeline(depth int, start, done int64) {
-	if a.lanes.N() <= 1 {
-		return
+	if a.lanes.N() > 1 {
+		a.busy.record(a.h.Rec, depth, start, done)
 	}
+}
+
+// busyUnion is the union of a pipeline's execution intervals, kept as one
+// merged interval [lo, hi]: issue order keeps intervals overlapping or
+// adjacent, so extending either end counts exactly the uncovered part of
+// each new interval. Tracking both ends keeps the union exact when a
+// dependency-stalled op raises the high mark past a later op's earlier
+// start. Both executors use it — the simulator's on virtual time, the real
+// one on the wall clock.
+type busyUnion struct{ lo, hi int64 }
+
+// record adds [start, done] to the union and records the op's depth sample
+// and latency-hiding terms into rec.
+func (u *busyUnion) record(rec *stats.Recorder, depth int, start, done int64) {
 	var busy int64
 	switch {
-	case start > a.busyHi || a.busyHi == 0:
+	case start > u.hi || u.hi == 0:
 		busy = done - start
-		a.busyLo, a.busyHi = start, done
+		u.lo, u.hi = start, done
 	default:
-		if start < a.busyLo {
-			busy += a.busyLo - start
-			a.busyLo = start
+		if start < u.lo {
+			busy += u.lo - start
+			u.lo = start
 		}
-		if done > a.busyHi {
-			busy += done - a.busyHi
-			a.busyHi = done
+		if done > u.hi {
+			busy += done - u.hi
+			u.hi = done
 		}
 	}
-	a.h.Rec.RecordPipelineOp(depth, done-start, busy)
+	rec.RecordPipelineOp(depth, done-start, busy)
 }
 
 // Flush drains the pipeline: the driver clock advances to the last

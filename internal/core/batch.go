@@ -22,8 +22,7 @@ import (
 // lock-free validated read, exactly like the sequential lookup path. When
 // the right sibling's lock hashes onto the very GLT slot the executor
 // already holds, the guard is reused across the leaf boundary (hocl.
-// SameSlot). The per-kind batch entry points (InsertBatch, LookupBatch,
-// DeleteBatch) are thin wrappers over Exec.
+// SameSlot).
 //
 // Equivalence argument: operations on different keys commute for both final
 // state and per-op results, and operations on the same key land adjacently
@@ -408,57 +407,4 @@ func (h *Handle) chainToSibling(g hocl.Guard, leaf layout.Leaf, nextKey uint64) 
 	}
 	h.Rec.BatchChainedLeaves++
 	return sib, layout.AsLeaf(n), true
-}
-
-// --- legacy per-kind batch entry points, now thin wrappers over Exec ------
-
-// InsertBatch stores every pair in kvs, observably equivalent to calling
-// Insert for each pair in submission order. Keys sharing a leaf share one
-// traversal, one lock acquisition and one combined write-back+release
-// doorbell. Key 0 is reserved and panics.
-func (h *Handle) InsertBatch(kvs []layout.KV) {
-	ops := make([]Op, len(kvs))
-	for i, kv := range kvs {
-		if kv.Key == 0 {
-			panic("core: key 0 is reserved")
-		}
-		ops[i] = Op{Kind: stats.OpInsert, Key: kv.Key, Value: kv.Value}
-	}
-	h.Exec(ops)
-}
-
-// DeleteBatch removes every key, reporting per key (in submission order)
-// whether it was present — observably equivalent to calling Delete for
-// each key in order. Absent keys cost no write-back. Key 0 panics.
-func (h *Handle) DeleteBatch(keys []uint64) []bool {
-	ops := make([]Op, len(keys))
-	for i, k := range keys {
-		if k == 0 {
-			panic("core: key 0 is reserved")
-		}
-		ops[i] = Op{Kind: stats.OpDelete, Key: k}
-	}
-	res := h.Exec(ops)
-	found := make([]bool, len(keys))
-	for i := range res {
-		found[i] = res[i].Found
-	}
-	return found
-}
-
-// LookupBatch returns the value stored under each key, in submission
-// order — observably equivalent to calling Lookup per key, but reading
-// each target leaf once for all the keys it covers.
-func (h *Handle) LookupBatch(keys []uint64) (values []uint64, found []bool) {
-	ops := make([]Op, len(keys))
-	for i, k := range keys {
-		ops[i] = Op{Kind: stats.OpLookup, Key: k}
-	}
-	res := h.Exec(ops)
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	for i := range res {
-		values[i], found[i] = res[i].Value, res[i].Found
-	}
-	return values, found
 }

@@ -8,8 +8,34 @@ import (
 	"sherman/internal/cluster"
 	core "sherman/internal/core"
 	"sherman/internal/layout"
+	"sherman/internal/stats"
 	"sherman/internal/testutil"
 )
+
+// putOps, deleteOps and lookupOps build single-kind Exec batches.
+func putOps(kvs []layout.KV) []core.Op {
+	ops := make([]core.Op, len(kvs))
+	for i, kv := range kvs {
+		ops[i] = core.Op{Kind: stats.OpInsert, Key: kv.Key, Value: kv.Value}
+	}
+	return ops
+}
+
+func deleteOps(keys []uint64) []core.Op {
+	ops := make([]core.Op, len(keys))
+	for i, k := range keys {
+		ops[i] = core.Op{Kind: stats.OpDelete, Key: k}
+	}
+	return ops
+}
+
+func lookupOps(keys []uint64) []core.Op {
+	ops := make([]core.Op, len(keys))
+	for i, k := range keys {
+		ops[i] = core.Op{Kind: stats.OpLookup, Key: k}
+	}
+	return ops
+}
 
 // batchConfigsUnderTest spans the ablation axes the batch pipeline must be
 // equivalent under: both node layouts crossed with command combination on
@@ -31,7 +57,7 @@ func batchConfigsUnderTest() []core.Config {
 }
 
 // TestBatchEquivalenceProperty checks, for deterministic seeds, that a random operation
-// sequence applied through the batch API leaves the tree in a state
+// sequence applied through Exec leaves the tree in a state
 // observably equivalent to applying the same operations sequentially:
 // same per-key answers along the way, same final contents, and a valid
 // structure. Small leaves make every non-trivial batch straddle splits,
@@ -58,7 +84,7 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 					for _, kv := range kvs {
 						seqH.Insert(kv.Key, kv.Value)
 					}
-					batH.InsertBatch(kvs)
+					batH.Exec(putOps(kvs))
 				case 1: // deletes, including absent keys
 					keys := make([]uint64, n)
 					for i := range keys {
@@ -68,11 +94,11 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 					for i, k := range keys {
 						want[i] = seqH.Delete(k)
 					}
-					got := batH.DeleteBatch(keys)
+					got := batH.Exec(deleteOps(keys))
 					for i := range keys {
-						if got[i] != want[i] {
-							t.Fatalf("%s seed %d: DeleteBatch[%d] key %d = %v, sequential %v",
-								cfg.Name(), seed, i, keys[i], got[i], want[i])
+						if got[i].Found != want[i] {
+							t.Fatalf("%s seed %d: Exec delete[%d] key %d = %v, sequential %v",
+								cfg.Name(), seed, i, keys[i], got[i].Found, want[i])
 						}
 					}
 				default: // lookups
@@ -80,12 +106,12 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 					for i := range keys {
 						keys[i] = rng.Uint64N(keySpace) + 1
 					}
-					vals, found := batH.LookupBatch(keys)
+					got := batH.Exec(lookupOps(keys))
 					for i, k := range keys {
 						wv, wok := seqH.Lookup(k)
-						if found[i] != wok || (wok && vals[i] != wv) {
-							t.Fatalf("%s seed %d: GetBatch[%d] key %d = (%d,%v), sequential (%d,%v)",
-								cfg.Name(), seed, i, k, vals[i], found[i], wv, wok)
+						if got[i].Found != wok || (wok && got[i].Value != wv) {
+							t.Fatalf("%s seed %d: Exec lookup[%d] key %d = (%d,%v), sequential (%d,%v)",
+								cfg.Name(), seed, i, k, got[i].Value, got[i].Found, wv, wok)
 						}
 					}
 				}
@@ -109,8 +135,8 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestBatchConcurrentChurnValidate drives concurrent batch churn — mixed
-// PutBatch/DeleteBatch/GetBatch on per-thread stripes — then checks the
+// TestBatchConcurrentChurnValidate drives concurrent batch churn — insert,
+// delete and lookup Exec batches on per-thread stripes — then checks the
 // structure with Validate and the contents against per-thread references.
 func TestBatchConcurrentChurnValidate(t *testing.T) {
 	for _, cfg := range batchConfigsUnderTest() {
@@ -136,10 +162,10 @@ func TestBatchConcurrentChurnValidate(t *testing.T) {
 						for i := range keys {
 							keys[i] = base + rng.Uint64N(600) + 1
 						}
-						found := h.DeleteBatch(keys)
+						res := h.Exec(deleteOps(keys))
 						for i, k := range keys {
-							if _, exists := ref[k]; exists != found[i] {
-								t.Errorf("thread %d: DeleteBatch(%d) = %v, reference %v", th, k, found[i], exists)
+							if _, exists := ref[k]; exists != res[i].Found {
+								t.Errorf("thread %d: Exec delete(%d) = %v, reference %v", th, k, res[i].Found, exists)
 								return
 							}
 							delete(ref, k)
@@ -149,13 +175,13 @@ func TestBatchConcurrentChurnValidate(t *testing.T) {
 						for i := range keys {
 							keys[i] = base + rng.Uint64N(600) + 1
 						}
-						vals, found := h.LookupBatch(keys)
+						res := h.Exec(lookupOps(keys))
 						// Duplicate keys in one batch see the same state.
 						for i, k := range keys {
 							want, exists := ref[k]
-							if found[i] != exists || (exists && vals[i] != want) {
-								t.Errorf("thread %d: GetBatch(%d) = (%d,%v), reference (%d,%v)",
-									th, k, vals[i], found[i], want, exists)
+							if res[i].Found != exists || (exists && res[i].Value != want) {
+								t.Errorf("thread %d: Exec lookup(%d) = (%d,%v), reference (%d,%v)",
+									th, k, res[i].Value, res[i].Found, want, exists)
 								return
 							}
 						}
@@ -164,7 +190,7 @@ func TestBatchConcurrentChurnValidate(t *testing.T) {
 						for i := range kvs {
 							kvs[i] = layout.KV{Key: base + rng.Uint64N(600) + 1, Value: rng.Uint64() | 1}
 						}
-						h.InsertBatch(kvs)
+						h.Exec(putOps(kvs))
 						for _, kv := range kvs {
 							ref[kv.Key] = kv.Value
 						}
@@ -207,14 +233,14 @@ func TestBatchGuardReuseChains(t *testing.T) {
 		for i := range kvs {
 			kvs[i] = layout.KV{Key: uint64(i + 1), Value: uint64(i + 1000)}
 		}
-		h.InsertBatch(kvs)
+		h.Exec(putOps(kvs))
 		// A fresh fill ends every group in a split (which releases the
 		// guard); an update pass over the now-populated tree ends groups at
 		// fence boundaries, where the single-slot GLT forces chaining.
 		for i := range kvs {
 			kvs[i].Value = kvs[i].Key + 2000
 		}
-		h.InsertBatch(kvs)
+		h.Exec(putOps(kvs))
 		if h.Rec.BatchChainedLeaves == 0 {
 			t.Errorf("%s combine=%v: no chained leaves despite single-slot GLT", cfg.Name(), cfg.Combine)
 		}
@@ -228,10 +254,9 @@ func TestBatchGuardReuseChains(t *testing.T) {
 		for k := uint64(2); k <= n; k += 2 {
 			del = append(del, k)
 		}
-		found := h.DeleteBatch(del)
-		for i, ok := range found {
-			if !ok {
-				t.Fatalf("%s: DeleteBatch missed present key %d", cfg.Name(), del[i])
+		for i, r := range h.Exec(deleteOps(del)) {
+			if !r.Found {
+				t.Fatalf("%s: Exec delete missed present key %d", cfg.Name(), del[i])
 			}
 		}
 		if err := tr.Validate(); err != nil {
@@ -242,7 +267,7 @@ func TestBatchGuardReuseChains(t *testing.T) {
 
 // TestBatchAmortizesRoundTripsAndLocks is the headline claim at unit scale:
 // updating K keys that share leaves must cost measurably fewer round trips
-// and lock acquisitions through InsertBatch than through sequential Insert.
+// and lock acquisitions through Exec than through sequential Insert.
 func TestBatchAmortizesRoundTripsAndLocks(t *testing.T) {
 	run := func(batched bool) (roundTrips, lockAcq int64) {
 		cfg := core.ShermanConfig()
@@ -264,7 +289,7 @@ func TestBatchAmortizesRoundTripsAndLocks(t *testing.T) {
 		}
 		rt0, acq0 := h.Metrics().RoundTrips, tr.LockStats().Acquisitions.Load()
 		if batched {
-			h.InsertBatch(upd)
+			h.Exec(putOps(upd))
 		} else {
 			for _, kv := range upd {
 				h.Insert(kv.Key, kv.Value)

@@ -316,11 +316,8 @@ func (h *Handle) noteSiblingHop(hops *int) {
 
 // Lookup returns the value stored under key.
 func (h *Handle) Lookup(key uint64) (uint64, bool) {
-	h.m.BeginOp()
-	t0 := h.C.Now()
-	val, found := h.lookupInner(key)
-	h.Rec.RecordOp(stats.OpLookup, h.C.Now()-t0)
-	return val, found
+	r := h.execOp(Op{Kind: stats.OpLookup, Key: key}, h.C.Now())
+	return r.Value, r.Found
 }
 
 func (h *Handle) lookupInner(key uint64) (uint64, bool) {

@@ -73,9 +73,10 @@ type realExec struct {
 	out    []*ticket // outstanding tickets in issue order
 	freeTk []*ticket // owner-side ticket pool; refilled by wait()
 
-	// busyLo/busyHi accumulate the merged busy interval for the
-	// latency-hiding ratio, as in the sim executor but on the wall clock.
-	busyLo, busyHi int64
+	// busy accumulates the latency-hiding union on the wall clock (tickets
+	// harvest in issue order, so intervals arrive mostly ordered and the
+	// single merged window stays a good union estimate).
+	busy busyUnion
 }
 
 func newRealExec(a *Async, depth int) *realExec {
@@ -224,47 +225,8 @@ func (re *realExec) harvest(tk *ticket) {
 		return // a crashed op records nothing; the session is about to die
 	}
 	rec := re.a.h.Rec
-	lat := tk.endNS - tk.startNS
-	switch tk.op.Kind {
-	case stats.OpLookup:
-		rec.RecordOp(stats.OpLookup, lat)
-	case stats.OpInsert:
-		rec.RecordOp(stats.OpInsert, lat)
-		rec.WriteRoundTrips.Record(int(tk.rtrips))
-		rec.WriteSizes.Record(tk.dataBytes)
-	case stats.OpDelete:
-		rec.RecordOp(stats.OpDelete, lat)
-		rec.WriteRoundTrips.Record(int(tk.rtrips))
-		if tk.res.Found {
-			rec.WriteSizes.Record(tk.dataBytes)
-		}
-	case stats.OpRange:
-		rec.RecordOp(stats.OpRange, lat)
-	}
-	re.recordPipeline(tk)
-}
-
-// recordPipeline is the sim executor's merged-interval busy union on the
-// wall clock (tickets harvest in issue order, so intervals arrive mostly
-// ordered and the single merged window stays a good union estimate).
-func (re *realExec) recordPipeline(tk *ticket) {
-	start, done := tk.startNS, tk.endNS
-	var busy int64
-	switch {
-	case start > re.busyHi || re.busyHi == 0:
-		busy = done - start
-		re.busyLo, re.busyHi = start, done
-	default:
-		if start < re.busyLo {
-			busy += re.busyLo - start
-			re.busyLo = start
-		}
-		if done > re.busyHi {
-			busy += done - re.busyHi
-			re.busyHi = done
-		}
-	}
-	re.a.h.Rec.RecordPipelineOp(tk.depthAtIssue, done-start, busy)
+	recordOp(rec, tk.op, tk.res, tk.endNS-tk.startNS, tk.rtrips, tk.dataBytes)
+	re.busy.record(rec, tk.depthAtIssue, tk.startNS, tk.endNS)
 }
 
 // runner is one persistent worker goroutine with its own transport handle.
@@ -283,10 +245,10 @@ func (re *realExec) runner() {
 	}
 }
 
-// runTicket executes one ticket on h: run the op with the synchronous
-// path's accounting, publish the completion token. A compute-server crash
-// is captured into the ticket (the owner re-panics it); any other panic is
-// a protocol bug and propagates.
+// runTicket executes one ticket on h — the shared op body, with its
+// accounting deferred to the owner's harvest — and publishes the completion
+// token. A compute-server crash is captured into the ticket (the owner
+// re-panics it); any other panic is a protocol bug and propagates.
 func (re *realExec) runTicket(h *Handle, tk *ticket) {
 	tk.startNS = h.C.Now()
 	func() {
@@ -300,21 +262,7 @@ func (re *realExec) runTicket(h *Handle, tk *ticket) {
 			}
 		}()
 		h.m.BeginOp()
-		switch tk.op.Kind {
-		case stats.OpLookup:
-			v, found := h.lookupInner(tk.op.Key)
-			tk.res = OpResult{Value: v, Found: found}
-		case stats.OpInsert:
-			tk.dataBytes = h.insertInner(tk.op.Key, tk.op.Value)
-		case stats.OpDelete:
-			found, dataBytes := h.deleteInner(tk.op.Key)
-			tk.res = OpResult{Found: found}
-			tk.dataBytes = dataBytes
-		case stats.OpRange:
-			if tk.op.Span > 0 {
-				tk.res = OpResult{KVs: h.rangeInner(tk.op.Key, tk.op.Span)}
-			}
-		}
+		tk.res, tk.dataBytes = h.applyOp(tk.op)
 		tk.rtrips = h.m.OpRoundTrips
 	}()
 	tk.endNS = h.C.Now()

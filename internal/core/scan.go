@@ -21,11 +21,7 @@ const maxScanRestarts = 1 << 20
 // writes (§4.4): each leaf is read consistently, but the scan as a whole is
 // not a snapshot.
 func (h *Handle) Range(from uint64, span int) []layout.KV {
-	h.m.BeginOp()
-	t0 := h.C.Now()
-	out := h.rangeInner(from, span)
-	h.Rec.RecordOp(stats.OpRange, h.C.Now()-t0)
-	return out
+	return h.execOp(Op{Kind: stats.OpRange, Key: from, Span: span}, h.C.Now()).KVs
 }
 
 func (h *Handle) rangeInner(from uint64, span int) []layout.KV {

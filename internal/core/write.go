@@ -17,17 +17,7 @@ func (h *Handle) Insert(key, value uint64) {
 	if key == 0 {
 		panic("core: key 0 is reserved")
 	}
-	h.m.BeginOp()
-	t0 := h.C.Now()
-	dataBytes := h.insertInner(key, value)
-	for h.takeRedo() {
-		// A failover swallowed the commit (see mirror): retry through the
-		// promoted chunk; the insert is an idempotent upsert.
-		dataBytes = h.insertInner(key, value)
-	}
-	h.Rec.RecordOp(stats.OpInsert, h.C.Now()-t0)
-	h.Rec.WriteRoundTrips.Record(int(h.m.OpRoundTrips))
-	h.Rec.WriteSizes.Record(dataBytes)
+	h.execOp(Op{Kind: stats.OpInsert, Key: key, Value: value}, h.C.Now())
 }
 
 // Delete removes key, reporting whether it was present. Non-structural
@@ -37,21 +27,7 @@ func (h *Handle) Delete(key uint64) bool {
 	if key == 0 {
 		panic("core: key 0 is reserved")
 	}
-	h.m.BeginOp()
-	t0 := h.C.Now()
-	found, dataBytes := h.deleteInner(key)
-	for h.takeRedo() {
-		// A failover swallowed the commit: nothing durable changed, so the
-		// retry sees the key again (keeping found truthful) and re-deletes.
-		f, db := h.deleteInner(key)
-		found, dataBytes = found || f, db
-	}
-	h.Rec.RecordOp(stats.OpDelete, h.C.Now()-t0)
-	h.Rec.WriteRoundTrips.Record(int(h.m.OpRoundTrips))
-	if found {
-		h.Rec.WriteSizes.Record(dataBytes)
-	}
-	return found
+	return h.execOp(Op{Kind: stats.OpDelete, Key: key}, h.C.Now()).Found
 }
 
 // unlockWrite releases g, flushing pending dependent writes per the tree's

@@ -3,6 +3,7 @@ package tcp
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -351,4 +352,37 @@ func TestServerOutOfOrderCompletion(t *testing.T) {
 	if seen[100] != 1 || seen[200] != 1 {
 		t.Fatalf("responses per tag = %v, want one each", seen)
 	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame decoder, reading frames
+// back to back through one recycled buffer until the stream errors. It must
+// never panic, and every frame it accepts must match its header — payload
+// length = announced length - 5 — and re-encode through appendFrame to
+// exactly the bytes it consumed. The checked-in corpus under
+// testdata/fuzz/FuzzReadFrame runs in every plain `go test`.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(appendFrame(nil, 7, opPing, nil))
+	f.Add(appendFrame(appendFrame(nil, 1, opRead, make([]byte, 12)), 0xFFFFFFFF, statusOK, []byte{0xAB}))
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0}) // length below the 5-byte minimum
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var hdr [frameHeader]byte
+		var buf []byte
+		for off := 0; ; {
+			tag, op, payload, err := readFrameInto(r, buf, &hdr)
+			if err != nil {
+				return
+			}
+			buf = payload
+			end := len(data) - r.Len()
+			frame := data[off:end]
+			if n := binary.LittleEndian.Uint32(frame[0:4]); int(n) != 5+len(payload) {
+				t.Fatalf("frame at %d: header length %d, payload %d bytes", off, n, len(payload))
+			}
+			if got := appendFrame(nil, tag, op, payload); !bytes.Equal(got, frame) {
+				t.Fatalf("frame at %d: re-encodes to %x, consumed %x", off, got, frame)
+			}
+			off = end
+		}
+	})
 }

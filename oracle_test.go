@@ -119,7 +119,7 @@ func checkFinalState(t *testing.T, s *Session, model *testutil.Model, keySpace u
 	t.Helper()
 	for k := uint64(1); k <= 2*keySpace; k++ {
 		wv, wok := model.Get(k)
-		gv, gok := s.Get(k)
+		gv, gok := mustGet(t, s, k)
 		if wok != gok || (wok && wv != gv) {
 			t.Fatalf("final key %d = (%d,%v), model (%d,%v)", k, gv, gok, wv, wok)
 		}
@@ -244,7 +244,11 @@ func TestDifferentialOracleTinyCache(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					w := tree.Session(1)
+					w, err := tree.SessionAt(1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					churnRng := testutil.RNG(seed + 1000)
 					added := false
 					for i := 0; ; i++ {
@@ -254,7 +258,10 @@ func TestDifferentialOracleTinyCache(t *testing.T) {
 						default:
 						}
 						for j := 0; j < 50; j++ {
-							w.Put(1_000_000+churnRng.Uint64N(5000)+1, churnRng.Uint64()|1)
+							if err := w.Put(1_000_000+churnRng.Uint64N(5000)+1, churnRng.Uint64()|1); err != nil {
+								t.Error(err)
+								return
+							}
 						}
 						if !migrate {
 							continue

@@ -54,19 +54,8 @@ func TestPipelineSequentialEquivalenceProperty(t *testing.T) {
 					default:
 						op = GetOp(k)
 					}
-					var want Result
-					switch op.Kind {
-					case OpPut:
-						seq.Put(op.Key, op.Value)
-					case OpDelete:
-						want.Found = seq.Delete(op.Key)
-					case OpScan:
-						want.KVs = seq.Scan(op.Key, op.Span)
-					default:
-						want.Value, want.Found = seq.Get(op.Key)
-					}
 					futures = append(futures, pipe.Submit(op))
-					wants = append(wants, want)
+					wants = append(wants, sequential(t, seq, op))
 				}
 				if err := pipe.Flush(); err != nil {
 					t.Fatal(err)
@@ -83,8 +72,8 @@ func TestPipelineSequentialEquivalenceProperty(t *testing.T) {
 					}
 				}
 				for k := uint64(1); k <= keySpace; k++ {
-					wv, wok := seq.Get(k)
-					gv, gok := pipe.Get(k)
+					wv, wok := mustGet(t, seq, k)
+					gv, gok := mustGet(t, pipe, k)
 					if wok != gok || (wok && wv != gv) {
 						t.Fatalf("depth %d: final key %d mismatch", depth, k)
 					}
@@ -92,6 +81,24 @@ func TestPipelineSequentialEquivalenceProperty(t *testing.T) {
 			})
 		})
 	}
+}
+
+// sequential applies op through s's blocking methods, failing the test on
+// an error, and returns the result the equivalence properties expect.
+func sequential(t *testing.T, s *Session, op Op) Result {
+	t.Helper()
+	var want Result
+	switch op.Kind {
+	case OpPut:
+		mustPut(t, s, op.Key, op.Value)
+	case OpDelete:
+		want.Found = mustDelete(t, s, op.Key)
+	case OpScan:
+		want.KVs = mustScan(t, s, op.Key, op.Span)
+	default:
+		want.Value, want.Found = mustGet(t, s, op.Key)
+	}
+	return want
 }
 
 // TestExecMixedEquivalenceProperty checks that mixed Exec batches — puts,
@@ -117,7 +124,7 @@ func TestExecMixedEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				seq := testTree(t, c2, opts).Session(0)
+				seq := mustSession(t, testTree(t, c2, opts), 0)
 
 				const keySpace = 200
 				for round := 0; round < 4; round++ {
@@ -138,17 +145,7 @@ func TestExecMixedEquivalenceProperty(t *testing.T) {
 					}
 					got := pipe.Exec(ops)
 					for i, op := range ops {
-						var want Result
-						switch op.Kind {
-						case OpPut:
-							seq.Put(op.Key, op.Value)
-						case OpDelete:
-							want.Found = seq.Delete(op.Key)
-						case OpScan:
-							want.KVs = seq.Scan(op.Key, op.Span)
-						default:
-							want.Value, want.Found = seq.Get(op.Key)
-						}
+						want := sequential(t, seq, op)
 						g := got[i]
 						if g.Err != nil || g.Found != want.Found || g.Value != want.Value || len(g.KVs) != len(want.KVs) {
 							t.Fatalf("depth %d: batch op %d (%+v) = %+v, sequential %+v", depth, i, op, g, want)
@@ -161,8 +158,8 @@ func TestExecMixedEquivalenceProperty(t *testing.T) {
 					}
 				}
 				for k := uint64(1); k <= keySpace; k++ {
-					wv, wok := seq.Get(k)
-					gv, gok := pipe.Get(k)
+					wv, wok := mustGet(t, seq, k)
+					gv, gok := mustGet(t, pipe, k)
 					if wok != gok || (wok && wv != gv) {
 						t.Fatalf("final key %d mismatch", k)
 					}
@@ -231,10 +228,10 @@ func TestPipelineConcurrentSessions(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate after concurrent pipelined churn: %v", err)
 	}
-	s := tree.Session(0)
+	s := mustSession(t, tree, 0)
 	for w, ref := range refs {
 		for k, v := range ref {
-			if got, ok := s.Get(k); !ok || got != v {
+			if got, ok := mustGet(t, s, k); !ok || got != v {
 				t.Fatalf("worker %d key %d = (%d,%v), want (%d,true)", w, k, got, ok, v)
 			}
 		}
@@ -242,8 +239,7 @@ func TestPipelineConcurrentSessions(t *testing.T) {
 }
 
 // TestSessionAtAndTypedErrors covers the typed-error surface: out-of-range
-// compute servers, reserved-key writes via Submit and Exec, and the
-// preserved legacy panic contracts.
+// compute servers and reserved-key writes via Submit and Exec.
 func TestSessionAtAndTypedErrors(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
@@ -279,24 +275,8 @@ func TestSessionAtAndTypedErrors(t *testing.T) {
 	if !errors.Is(res[1].Err, ErrReservedKey) || res[0].Err != nil || res[2].Err != nil {
 		t.Errorf("Exec partial errors = [%v %v %v]", res[0].Err, res[1].Err, res[2].Err)
 	}
-	if v, ok := s.Get(12); !ok || v != 120 {
+	if v, ok := mustGet(t, s, 12); !ok || v != 120 {
 		t.Errorf("Get(12) after partial-error Exec = (%d,%v), want (120,true)", v, ok)
-	}
-
-	// Legacy contracts: Session panics on a bad cs, Put panics on key 0.
-	for name, fn := range map[string]func(){
-		"Session(-1)": func() { tree.Session(-1) },
-		"Put(0)":      func() { s.Put(0, 1) },
-		"Delete(0)":   func() { s.Delete(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
 	}
 }
 
@@ -305,7 +285,7 @@ func TestSessionAtAndTypedErrors(t *testing.T) {
 func TestCursor(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, TreeOptions{NodeSize: testutil.SmallNodeSize}) // small leaves: many refills
-	s := tree.Session(0)
+	s := mustSession(t, tree, 0)
 	kvs := make([]KV, 500)
 	for i := range kvs {
 		kvs[i] = KV{Key: uint64(i+1) * 3, Value: uint64(i + 7)}
@@ -315,15 +295,15 @@ func TestCursor(t *testing.T) {
 	}
 
 	cur := s.Cursor(100)
-	want := s.Scan(100, len(kvs))
+	want := mustScan(t, s, 100, len(kvs))
 	for i, w := range want {
 		kv, ok := cur.Next()
 		if !ok || kv != w {
 			t.Fatalf("cursor row %d = (%+v,%v), want %+v", i, kv, ok, w)
 		}
 	}
-	if kv, ok := cur.Next(); ok {
-		t.Errorf("cursor returned %+v past the end", kv)
+	if kv, ok := cur.Next(); ok || cur.Err() != nil {
+		t.Errorf("cursor returned %+v (err %v) past the end", kv, cur.Err())
 	}
 	if _, ok := s.Cursor(10_000_000).Next(); ok {
 		t.Error("cursor on empty range returned a row")
@@ -343,8 +323,8 @@ func TestPipelineVirtualTime(t *testing.T) {
 	if err := tree.Bulkload(kvs); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := tree.SessionAt(0, PipelineDepth(4))
-	s.Get(1) // warm the cache
+	s := mustSession(t, tree, 0, PipelineDepth(4))
+	mustGet(t, s, 1) // warm the cache
 
 	before := s.VirtualNow()
 	var fs []*Future

@@ -75,18 +75,18 @@ func TestTCPCrashMatrix(t *testing.T) {
 				switch {
 				case rng.Intn(100) < 70:
 					v := uint64(i)*1000003 + 1
-					if err := s.PutE(key, v); err != nil {
-						t.Fatalf("op %d: PutE: %v", i, err)
+					if err := s.Put(key, v); err != nil {
+						t.Fatalf("op %d: Put: %v", i, err)
 					}
 					oracle[key] = v
 				case rng.Intn(2) == 0:
-					if _, err := s.DeleteE(key); err != nil {
-						t.Fatalf("op %d: DeleteE: %v", i, err)
+					if _, err := s.Delete(key); err != nil {
+						t.Fatalf("op %d: Delete: %v", i, err)
 					}
 					delete(oracle, key)
 				default:
-					if _, _, err := s.GetE(key); err != nil {
-						t.Fatalf("op %d: GetE: %v", i, err)
+					if _, _, err := s.Get(key); err != nil {
+						t.Fatalf("op %d: Get: %v", i, err)
 					}
 				}
 			}
@@ -107,7 +107,7 @@ func TestTCPCrashMatrix(t *testing.T) {
 				}
 			}
 			for k, want := range oracle {
-				v, ok, err := s.GetE(k)
+				v, ok, err := s.Get(k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +122,7 @@ func TestTCPCrashMatrix(t *testing.T) {
 				if _, present := oracle[k]; present {
 					continue
 				}
-				if _, ok, err := s.GetE(k); err != nil {
+				if _, ok, err := s.Get(k); err != nil {
 					t.Fatal(err)
 				} else if ok {
 					t.Errorf("key %d reachable but never acked (or deleted)", k)

@@ -10,8 +10,8 @@ import (
 	"sherman/internal/stats"
 )
 
-// Typed errors of the unified Op/Result API. The legacy methods keep their
-// original panic contracts; Submit and Exec report these instead.
+// Typed errors of the session API. The blocking methods return them; Submit
+// and Exec carry them in Result.Err.
 var (
 	// ErrReservedKey rejects writes to key 0, the tree's deleted-entry
 	// sentinel (§4.4).
@@ -117,13 +117,13 @@ func (f *Future) CompleteAtV() int64 { return f.done }
 // client thread of the paper — so open one per goroutine. Any number of
 // sessions may operate on the same tree concurrently.
 //
-// A session issues operations two ways. The synchronous methods (Put, Get,
-// Delete, Scan and the *Batch wrappers) complete each call before
-// returning. The unified Op/Result API (Submit, Exec, Flush) pipelines: a
-// session opened with PipelineDepth(n) keeps up to n operations
-// outstanding, overlapping their round trips the way the paper's clients
-// run multiple coroutines per thread, so per-thread throughput climbs
-// toward the fabric bound instead of being RTT-bound.
+// A session issues operations two ways. The blocking methods (Put, Get,
+// Delete, Scan) complete each call before returning. The unified Op/Result
+// API (Submit, Exec, Flush) pipelines: a session opened with
+// PipelineDepth(n) keeps up to n operations outstanding, overlapping their
+// round trips the way the paper's clients run multiple coroutines per
+// thread, so per-thread throughput climbs toward the fabric bound instead of
+// being RTT-bound.
 type Session struct {
 	h    *core.Handle
 	a    *core.Async
@@ -139,8 +139,8 @@ type Session struct {
 
 // run executes fn, converting the crash of this session's compute server
 // into the typed ErrSessionDead: every entry point funnels through it, so a
-// dead session's calls return (or panic with) the error instead of touching
-// the fabric — and never hang.
+// dead session's calls return the error instead of touching the fabric — and
+// never hang.
 func (s *Session) run(fn func()) (err error) {
 	if s.dead || !s.h.C.Alive() {
 		s.dead = true
@@ -199,17 +199,6 @@ func (t *Tree) SessionAt(cs int, opts ...SessionOption) (*Session, error) {
 	}
 	h := t.tr.NewHandle(cs, int(sessionSeq.Add(1)))
 	return &Session{h: h, a: h.NewAsync(cfg.depth), cs: cs}, nil
-}
-
-// Session opens a synchronous session on compute server cs, panicking when
-// cs is out of range (the original contract; new code should prefer
-// SessionAt).
-func (t *Tree) Session(cs int) *Session {
-	s, err := t.SessionAt(cs)
-	if err != nil {
-		panic(fmt.Sprintf("sherman: compute server %d out of range [0,%d)", cs, t.c.ComputeServers()))
-	}
-	return s
 }
 
 // ComputeServer returns the compute server this session runs on.
@@ -332,76 +321,10 @@ func (s *Session) Flush() error {
 	return s.run(func() { s.a.Flush() })
 }
 
-// --- error-returning synchronous methods ---------------------------------
-
-// PutE stores value under key (insert or in-place update), reporting
-// ErrReservedKey for key 0 and ErrSessionDead on a crashed session. It is
-// the error-returning replacement for Put.
-func (s *Session) PutE(key, value uint64) error {
-	cop, err := PutOp(key, value).toCore()
-	if err != nil {
-		return err
-	}
-	_, err = s.submitWait(cop)
-	return err
-}
-
-// GetE returns the value stored under key, reporting ErrSessionDead on a
-// crashed session. It is the error-returning replacement for Get.
-func (s *Session) GetE(key uint64) (uint64, bool, error) {
-	r, err := s.submitWait(core.Op{Kind: stats.OpLookup, Key: key})
-	if err != nil {
-		return 0, false, err
-	}
-	return r.Value, r.Found, nil
-}
-
-// DeleteE removes key, reporting whether it was present, ErrReservedKey for
-// key 0, and ErrSessionDead on a crashed session. It is the error-returning
-// replacement for Delete.
-func (s *Session) DeleteE(key uint64) (bool, error) {
-	cop, err := DeleteOp(key).toCore()
-	if err != nil {
-		return false, err
-	}
-	r, err := s.submitWait(cop)
-	return r.Found, err
-}
-
-// ScanE returns up to span pairs with key >= from in ascending key order,
-// reporting ErrSessionDead on a crashed session. Like Scan it is not a
-// snapshot. It is the error-returning replacement for Scan.
-func (s *Session) ScanE(from uint64, span int) ([]KV, error) {
-	if span <= 0 {
-		return nil, nil
-	}
-	r, err := s.submitWait(core.Op{Kind: stats.OpRange, Key: from, Span: span})
-	if err != nil {
-		return nil, err
-	}
-	return r.KVs, nil
-}
-
-// --- legacy synchronous methods: thin wrappers over the unified API ------
-
-// legacyErr enforces the legacy methods' panic contracts: reserved keys keep
-// the original message; a dead session panics with ErrSessionDead (the
-// legacy signatures have no error slot to report it through — use Submit or
-// Exec for the typed-error contract).
-func legacyErr(err error) {
-	if err == nil {
-		return
-	}
-	if errors.Is(err, ErrSessionDead) {
-		panic(ErrSessionDead)
-	}
-	panic("core: key 0 is reserved")
-}
-
 // submitWait pushes one validated core op through the pipeline and waits for
-// its completion — the legacy synchronous path, which never materializes a
-// Future (a synchronous caller waits immediately, so the future's
-// wait-later-and-repeatedly contract buys nothing but an allocation).
+// its completion — the blocking path, which never materializes a Future (a
+// blocking caller waits immediately, so the future's wait-later-and-
+// repeatedly contract buys nothing but an allocation).
 func (s *Session) submitWait(cop core.Op) (core.OpResult, error) {
 	var res core.OpResult
 	err := s.run(func() {
@@ -411,118 +334,52 @@ func (s *Session) submitWait(cop core.Op) (core.OpResult, error) {
 	return res, err
 }
 
-// Put stores value under key, inserting or updating in place. Key 0 is
-// reserved and panics (it is the tree's deleted-entry sentinel, §4.4), as
-// does a dead session (with ErrSessionDead).
-//
-// Deprecated: prefer PutE (or Submit/Exec), which report ErrReservedKey and
-// ErrSessionDead as errors instead of panicking. Put remains for
-// compatibility with the original synchronous contract.
-func (s *Session) Put(key, value uint64) {
+// Put stores value under key (insert or in-place update), reporting
+// ErrReservedKey for key 0 — the tree's deleted-entry sentinel (§4.4) — and
+// ErrSessionDead on a crashed session.
+func (s *Session) Put(key, value uint64) error {
 	cop, err := PutOp(key, value).toCore()
-	if err == nil {
-		_, err = s.submitWait(cop)
+	if err != nil {
+		return err
 	}
-	legacyErr(err)
+	_, err = s.submitWait(cop)
+	return err
 }
 
-// Get returns the value stored under key. A dead session panics with
-// ErrSessionDead.
-//
-// Deprecated: prefer GetE (or Submit/Exec), which report ErrSessionDead as
-// an error instead of panicking.
-func (s *Session) Get(key uint64) (uint64, bool) {
+// Get returns the value stored under key and whether it was present,
+// reporting ErrSessionDead on a crashed session.
+func (s *Session) Get(key uint64) (uint64, bool, error) {
 	r, err := s.submitWait(core.Op{Kind: stats.OpLookup, Key: key})
-	legacyErr(err)
-	return r.Value, r.Found
-}
-
-// Delete removes key, reporting whether it was present. Key 0 is reserved
-// and panics, as does a dead session (with ErrSessionDead).
-//
-// Deprecated: prefer DeleteE (or Submit/Exec), which report ErrReservedKey
-// and ErrSessionDead as errors instead of panicking.
-func (s *Session) Delete(key uint64) bool {
-	cop, err := DeleteOp(key).toCore()
-	var r core.OpResult
-	if err == nil {
-		r, err = s.submitWait(cop)
+	if err != nil {
+		return 0, false, err
 	}
-	legacyErr(err)
-	return r.Found
+	return r.Value, r.Found, nil
 }
 
-// Scan returns up to span pairs with key >= from in ascending key order.
-// Like the paper's range query (§4.4), a scan is not atomic with concurrent
-// writes: each leaf is read consistently, but the scan as a whole is not a
-// snapshot. A dead session panics with ErrSessionDead.
-//
-// Deprecated: prefer ScanE (or Submit/Exec), which report ErrSessionDead as
-// an error instead of panicking.
-func (s *Session) Scan(from uint64, span int) []KV {
+// Delete removes key, reporting whether it was present, ErrReservedKey for
+// key 0, and ErrSessionDead on a crashed session.
+func (s *Session) Delete(key uint64) (bool, error) {
+	cop, err := DeleteOp(key).toCore()
+	if err != nil {
+		return false, err
+	}
+	r, err := s.submitWait(cop)
+	return r.Found, err
+}
+
+// Scan returns up to span pairs with key >= from in ascending key order,
+// reporting ErrSessionDead on a crashed session. Like the paper's range
+// query (§4.4), a scan is not atomic with concurrent writes: each leaf is
+// read consistently, but the scan as a whole is not a snapshot.
+func (s *Session) Scan(from uint64, span int) ([]KV, error) {
 	if span <= 0 {
-		return nil
+		return nil, nil
 	}
 	r, err := s.submitWait(core.Op{Kind: stats.OpRange, Key: from, Span: span})
-	legacyErr(err)
-	return r.KVs
-}
-
-// PutBatch stores every pair in kvs, observably equivalent to calling Put
-// for each pair in order, but executed through the batch planner: keys are
-// sorted and pairs landing in the same leaf share one traversal, one leaf
-// lock and one combined write-back+release doorbell, cutting round trips
-// and lock traffic on bulk writes. Duplicate keys apply in submission order
-// (the last value wins). Key 0 is reserved and panics.
-func (s *Session) PutBatch(kvs []KV) {
-	ops := make([]Op, len(kvs))
-	for i, kv := range kvs {
-		if kv.Key == 0 {
-			panic("core: key 0 is reserved")
-		}
-		ops[i] = PutOp(kv.Key, kv.Value)
+	if err != nil {
+		return nil, err
 	}
-	for _, r := range s.Exec(ops) {
-		legacyErr(r.Err)
-	}
-}
-
-// GetBatch returns, for each key, the stored value and whether it was
-// present — observably equivalent to calling Get per key, but reading each
-// target leaf once for all the keys it covers.
-func (s *Session) GetBatch(keys []uint64) (values []uint64, found []bool) {
-	ops := make([]Op, len(keys))
-	for i, k := range keys {
-		ops[i] = GetOp(k)
-	}
-	res := s.Exec(ops)
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	for i, r := range res {
-		legacyErr(r.Err)
-		values[i], found[i] = r.Value, r.Found
-	}
-	return values, found
-}
-
-// DeleteBatch removes every key, reporting per key whether it was present —
-// observably equivalent to calling Delete per key. Deletes of absent keys
-// cost no write-back. Key 0 is reserved and panics.
-func (s *Session) DeleteBatch(keys []uint64) (found []bool) {
-	ops := make([]Op, len(keys))
-	for i, k := range keys {
-		if k == 0 {
-			panic("core: key 0 is reserved")
-		}
-		ops[i] = DeleteOp(k)
-	}
-	res := s.Exec(ops)
-	found = make([]bool, len(keys))
-	for i, r := range res {
-		legacyErr(r.Err)
-		found[i] = r.Found
-	}
-	return found
+	return r.KVs, nil
 }
 
 // VirtualNow returns the session's virtual clock in nanoseconds — the time
@@ -631,11 +488,11 @@ type SessionStats struct {
 
 	P50LatencyNS, P99LatencyNS int64
 
-	// Batches counts Exec (and *Batch wrapper) invocations; BatchedOps the
-	// point operations they carried (also included in the per-kind counts
-	// above). BatchLeafGroups counts the leaf groups those batches formed —
-	// BatchedOps/BatchLeafGroups is the traversal-and-lock amortization the
-	// planner achieved.
+	// Batches counts Exec invocations; BatchedOps the point operations they
+	// carried (also included in the per-kind counts above). BatchLeafGroups
+	// counts the leaf groups those batches formed — BatchedOps/
+	// BatchLeafGroups is the traversal-and-lock amortization the planner
+	// achieved.
 	Batches, BatchedOps, BatchLeafGroups int64
 	// DoorbellBatches counts multi-command doorbell posts issued by this
 	// session's verbs; DoorbellOps the commands they carried (§4.5).
@@ -696,7 +553,7 @@ func (c *Cursor) Next() (kv KV, ok bool) {
 		if c.done {
 			return KV{}, false
 		}
-		buf, err := c.s.ScanE(c.next, c.span)
+		buf, err := c.s.Scan(c.next, c.span)
 		if err != nil {
 			c.err = err
 			c.done = true

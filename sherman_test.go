@@ -1,6 +1,7 @@
 package sherman
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -34,6 +35,53 @@ func testTree(t *testing.T, c *Cluster, opts TreeOptions) *Tree {
 		}
 	})
 	return tree
+}
+
+// The must* helpers run one blocking session call and fail the test on any
+// error, so a rejected or crashed call never passes silently in a test whose
+// subject is not the error path. They call t.Fatal: use them only on the
+// test's own goroutine; worker goroutines check errors inline.
+func mustSession(t testing.TB, tr *Tree, cs int, opts ...SessionOption) *Session {
+	t.Helper()
+	s, err := tr.SessionAt(cs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func mustPut(t testing.TB, s *Session, key, value uint64) {
+	t.Helper()
+	if err := s.Put(key, value); err != nil {
+		t.Fatalf("Put(%d): %v", key, err)
+	}
+}
+
+func mustGet(t testing.TB, s *Session, key uint64) (uint64, bool) {
+	t.Helper()
+	v, ok, err := s.Get(key)
+	if err != nil {
+		t.Fatalf("Get(%d): %v", key, err)
+	}
+	return v, ok
+}
+
+func mustDelete(t testing.TB, s *Session, key uint64) bool {
+	t.Helper()
+	found, err := s.Delete(key)
+	if err != nil {
+		t.Fatalf("Delete(%d): %v", key, err)
+	}
+	return found
+}
+
+func mustScan(t testing.TB, s *Session, from uint64, span int) []KV {
+	t.Helper()
+	kvs, err := s.Scan(from, span)
+	if err != nil {
+		t.Fatalf("Scan(%d, %d): %v", from, span, err)
+	}
+	return kvs
 }
 
 // gridOptions maps the shared harness matrix (testutil.Matrix) onto public
@@ -90,34 +138,34 @@ func TestPutGetDeleteScan(t *testing.T) {
 		t.Run(engine.String(), func(t *testing.T) {
 			c := testCluster(t)
 			tree := testTree(t, c, TreeOptions{Engine: engine})
-			s := tree.Session(0)
+			s := mustSession(t, tree, 0)
 
-			if _, ok := s.Get(1); ok {
+			if _, ok := mustGet(t, s, 1); ok {
 				t.Fatal("Get on empty tree found a value")
 			}
 			for k := uint64(1); k <= 500; k++ {
-				s.Put(k, k*3)
+				mustPut(t, s, k, k*3)
 			}
 			for k := uint64(1); k <= 500; k++ {
-				if v, ok := s.Get(k); !ok || v != k*3 {
+				if v, ok := mustGet(t, s, k); !ok || v != k*3 {
 					t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", k, v, ok, k*3)
 				}
 			}
-			s.Put(42, 999) // update
-			if v, _ := s.Get(42); v != 999 {
+			mustPut(t, s, 42, 999) // update
+			if v, _ := mustGet(t, s, 42); v != 999 {
 				t.Fatalf("updated Get(42) = %d, want 999", v)
 			}
-			if !s.Delete(42) {
+			if !mustDelete(t, s, 42) {
 				t.Fatal("Delete(42) = false")
 			}
-			if s.Delete(42) {
+			if mustDelete(t, s, 42) {
 				t.Fatal("double Delete(42) = true")
 			}
-			if _, ok := s.Get(42); ok {
+			if _, ok := mustGet(t, s, 42); ok {
 				t.Fatal("Get(42) after delete found a value")
 			}
 
-			kvs := s.Scan(40, 5)
+			kvs := mustScan(t, s, 40, 5)
 			want := []uint64{40, 41, 43, 44, 45} // 42 deleted
 			if len(kvs) != len(want) {
 				t.Fatalf("Scan returned %d rows, want %d", len(kvs), len(want))
@@ -127,7 +175,7 @@ func TestPutGetDeleteScan(t *testing.T) {
 					t.Fatalf("Scan[%d] = %+v, want key %d", i, kv, want[i])
 				}
 			}
-			if got := s.Scan(40, 0); got != nil {
+			if got := mustScan(t, s, 40, 0); got != nil {
 				t.Fatalf("Scan span 0 = %v, want nil", got)
 			}
 
@@ -150,43 +198,26 @@ func TestBulkloadValidation(t *testing.T) {
 	if err := tree.Bulkload([]KV{{Key: 1, Value: 10}, {Key: 2, Value: 20}}); err != nil {
 		t.Errorf("valid Bulkload failed: %v", err)
 	}
-	s := tree.Session(0)
-	if v, ok := s.Get(2); !ok || v != 20 {
+	s := mustSession(t, tree, 0)
+	if v, ok := mustGet(t, s, 2); !ok || v != 20 {
 		t.Errorf("Get(2) after bulkload = (%d,%v), want (20,true)", v, ok)
 	}
 }
 
-func TestKeyZeroPanics(t *testing.T) {
+// TestKeyZeroRejected: writes of the reserved key 0 return ErrReservedKey
+// and never reach the tree.
+func TestKeyZeroRejected(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
-	for name, fn := range map[string]func(){
-		"Put":    func() { s.Put(0, 1) },
-		"Delete": func() { s.Delete(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with key 0 did not panic", name)
-				}
-			}()
-			fn()
-		}()
+	s := mustSession(t, tree, 0)
+	if err := s.Put(0, 1); !errors.Is(err, ErrReservedKey) {
+		t.Errorf("Put(0) err = %v, want ErrReservedKey", err)
 	}
-}
-
-func TestSessionOutOfRangePanics(t *testing.T) {
-	c := testCluster(t)
-	tree := testTree(t, c, DefaultTreeOptions())
-	for _, cs := range []int{-1, 2, 99} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Session(%d) did not panic", cs)
-				}
-			}()
-			tree.Session(cs)
-		}()
+	if found, err := s.Delete(0); found || !errors.Is(err, ErrReservedKey) {
+		t.Errorf("Delete(0) = (%v, %v), want (false, ErrReservedKey)", found, err)
+	}
+	if st := s.Stats(); st.Inserts != 0 || st.Deletes != 0 || st.RoundTrips != 0 {
+		t.Errorf("rejected writes reached the tree: %+v", st)
 	}
 }
 
@@ -208,7 +239,11 @@ func TestConcurrentSessionsAgainstReference(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				s := tree.Session(w % c.ComputeServers())
+				s, err := tree.SessionAt(w % c.ComputeServers())
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				ref := make(map[uint64]uint64)
 				rng := testutil.RNG(seed<<8 | uint64(w))
 				base := uint64(w)*100_000 + 1
@@ -216,23 +251,30 @@ func TestConcurrentSessionsAgainstReference(t *testing.T) {
 					k := base + rng.Uint64N(200)
 					switch rng.Uint64N(10) {
 					case 0, 1: // delete
-						s.Delete(k)
+						_, err = s.Delete(k)
 						delete(ref, k)
 					default: // put
 						v := rng.Uint64() | 1
-						s.Put(k, v)
+						err = s.Put(k, v)
 						ref[k] = v
+					}
+					if err != nil {
+						t.Errorf("worker %d key %d: %v", w, k, err)
+						return
 					}
 				}
 				refs[w] = ref
 			}(w)
 		}
 		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
 
-		s := tree.Session(0)
+		s := mustSession(t, tree, 0)
 		for w, ref := range refs {
 			for k, v := range ref {
-				got, ok := s.Get(k)
+				got, ok := mustGet(t, s, k)
 				if !ok || got != v {
 					t.Fatalf("worker %d key %d: Get = (%d,%v), want (%d,true)", w, k, got, ok, v)
 				}
@@ -244,15 +286,15 @@ func TestConcurrentSessionsAgainstReference(t *testing.T) {
 func TestStatsSurface(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
+	s := mustSession(t, tree, 0)
 	for k := uint64(1); k <= 100; k++ {
-		s.Put(k, k)
+		mustPut(t, s, k, k)
 	}
 	for k := uint64(1); k <= 100; k++ {
-		s.Get(k)
+		mustGet(t, s, k)
 	}
-	s.Scan(1, 10)
-	s.Delete(50)
+	mustScan(t, s, 1, 10)
+	mustDelete(t, s, 50)
 
 	st := s.Stats()
 	if st.Inserts != 100 || st.Lookups != 100 || st.Scans != 1 || st.Deletes != 1 {
@@ -311,12 +353,12 @@ func TestAdvancedOptionsMatrix(t *testing.T) {
 		adv := adv
 		c := testCluster(t)
 		tree := testTree(t, c, TreeOptions{Advanced: &adv})
-		s := tree.Session(0)
+		s := mustSession(t, tree, 0)
 		for k := uint64(1); k <= 50; k++ {
-			s.Put(k, k+7)
+			mustPut(t, s, k, k+7)
 		}
 		for k := uint64(1); k <= 50; k++ {
-			if v, ok := s.Get(k); !ok || v != k+7 {
+			if v, ok := mustGet(t, s, k); !ok || v != k+7 {
 				t.Fatalf("%+v: Get(%d) = (%d,%v)", adv, k, v, ok)
 			}
 		}
@@ -326,12 +368,12 @@ func TestAdvancedOptionsMatrix(t *testing.T) {
 func TestKeySizeOption(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, TreeOptions{KeySize: 64, NodeSize: 4096})
-	s := tree.Session(0)
+	s := mustSession(t, tree, 0)
 	for k := uint64(1); k <= 200; k++ {
-		s.Put(k, k*2)
+		mustPut(t, s, k, k*2)
 	}
 	for k := uint64(1); k <= 200; k++ {
-		if v, ok := s.Get(k); !ok || v != k*2 {
+		if v, ok := mustGet(t, s, k); !ok || v != k*2 {
 			t.Fatalf("Get(%d) = (%d,%v)", k, v, ok)
 		}
 	}
@@ -351,9 +393,9 @@ func TestFabricParamOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
-	s.Put(1, 2)
-	if v, ok := s.Get(1); !ok || v != 2 {
+	s := mustSession(t, tree, 0)
+	mustPut(t, s, 1, 2)
+	if v, ok := mustGet(t, s, 1); !ok || v != 2 {
 		t.Fatalf("Get(1) = (%d,%v)", v, ok)
 	}
 	// A 5 us RTT means even one round trip exceeds 5000 virtual ns.
@@ -365,10 +407,10 @@ func TestFabricParamOverrides(t *testing.T) {
 func TestStatsAndCompact(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
+	s := mustSession(t, tree, 0)
 	const n = 4000
 	for k := uint64(1); k <= n; k++ {
-		s.Put(k, k)
+		mustPut(t, s, k, k)
 	}
 	st := tree.Stats()
 	if st.Entries != n || st.Height < 2 || st.LeafNodes == 0 {
@@ -376,7 +418,7 @@ func TestStatsAndCompact(t *testing.T) {
 	}
 	for k := uint64(1); k <= n; k++ {
 		if k%8 != 0 {
-			s.Delete(k)
+			mustDelete(t, s, k)
 		}
 	}
 	res := tree.Compact()
@@ -384,13 +426,13 @@ func TestStatsAndCompact(t *testing.T) {
 		t.Fatalf("compact: %+v", res)
 	}
 	// Sessions opened after Compact see exactly the survivors.
-	s2 := tree.Session(1)
+	s2 := mustSession(t, tree, 1)
 	for k := uint64(8); k <= n; k += 8 {
-		if v, ok := s2.Get(k); !ok || v != k {
+		if v, ok := mustGet(t, s2, k); !ok || v != k {
 			t.Fatalf("survivor %d = (%d,%v)", k, v, ok)
 		}
 	}
-	if _, ok := s2.Get(3); ok {
+	if _, ok := mustGet(t, s2, 3); ok {
 		t.Fatal("deleted key resurrected")
 	}
 	after := tree.Stats()

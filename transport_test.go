@@ -4,16 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// TestEMethods covers the error-returning synchronous API: the happy path,
-// the reserved-key rejection, and the post-crash ErrSessionDead contract
-// that replaces the legacy methods' panics.
-func TestEMethods(t *testing.T) {
+// TestBlockingMethods covers the blocking session API: the happy path, the
+// reserved-key rejection, and the post-crash ErrSessionDead contract.
+func TestBlockingMethods(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, TreeOptions{})
 	s, err := tree.SessionAt(0)
@@ -21,52 +23,52 @@ func TestEMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := s.PutE(7, 70); err != nil {
-		t.Fatalf("PutE: %v", err)
+	if err := s.Put(7, 70); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
-	if v, ok, err := s.GetE(7); err != nil || !ok || v != 70 {
-		t.Fatalf("GetE(7) = %d, %v, %v", v, ok, err)
+	if v, ok, err := s.Get(7); err != nil || !ok || v != 70 {
+		t.Fatalf("Get(7) = %d, %v, %v", v, ok, err)
 	}
-	if _, ok, err := s.GetE(8); err != nil || ok {
-		t.Fatalf("GetE(8) = present (err %v), want absent", err)
+	if _, ok, err := s.Get(8); err != nil || ok {
+		t.Fatalf("Get(8) = present (err %v), want absent", err)
 	}
-	if err := s.PutE(9, 90); err != nil {
+	if err := s.Put(9, 90); err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := s.ScanE(1, 10)
+	kvs, err := s.Scan(1, 10)
 	if err != nil || len(kvs) != 2 || kvs[0].Key != 7 || kvs[1].Key != 9 {
-		t.Fatalf("ScanE = %v, %v", kvs, err)
+		t.Fatalf("Scan = %v, %v", kvs, err)
 	}
-	if found, err := s.DeleteE(7); err != nil || !found {
-		t.Fatalf("DeleteE(7) = %v, %v", found, err)
+	if found, err := s.Delete(7); err != nil || !found {
+		t.Fatalf("Delete(7) = %v, %v", found, err)
 	}
-	if found, err := s.DeleteE(7); err != nil || found {
-		t.Fatalf("DeleteE(7) again = %v, %v", found, err)
-	}
-
-	if err := s.PutE(0, 1); !errors.Is(err, ErrReservedKey) {
-		t.Fatalf("PutE(0) err = %v, want ErrReservedKey", err)
-	}
-	if _, err := s.DeleteE(0); !errors.Is(err, ErrReservedKey) {
-		t.Fatalf("DeleteE(0) err = %v, want ErrReservedKey", err)
+	if found, err := s.Delete(7); err != nil || found {
+		t.Fatalf("Delete(7) again = %v, %v", found, err)
 	}
 
-	// A crashed compute server turns every E-method into ErrSessionDead —
-	// no panics.
+	if err := s.Put(0, 1); !errors.Is(err, ErrReservedKey) {
+		t.Fatalf("Put(0) err = %v, want ErrReservedKey", err)
+	}
+	if _, err := s.Delete(0); !errors.Is(err, ErrReservedKey) {
+		t.Fatalf("Delete(0) err = %v, want ErrReservedKey", err)
+	}
+
+	// A crashed compute server turns every blocking call into
+	// ErrSessionDead.
 	if err := c.KillComputeServer(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutE(5, 50); !errors.Is(err, ErrSessionDead) {
-		t.Fatalf("PutE after crash err = %v, want ErrSessionDead", err)
+	if err := s.Put(5, 50); !errors.Is(err, ErrSessionDead) {
+		t.Fatalf("Put after crash err = %v, want ErrSessionDead", err)
 	}
-	if _, _, err := s.GetE(5); !errors.Is(err, ErrSessionDead) {
-		t.Fatalf("GetE after crash err = %v, want ErrSessionDead", err)
+	if _, _, err := s.Get(5); !errors.Is(err, ErrSessionDead) {
+		t.Fatalf("Get after crash err = %v, want ErrSessionDead", err)
 	}
-	if _, err := s.DeleteE(5); !errors.Is(err, ErrSessionDead) {
-		t.Fatalf("DeleteE after crash err = %v, want ErrSessionDead", err)
+	if _, err := s.Delete(5); !errors.Is(err, ErrSessionDead) {
+		t.Fatalf("Delete after crash err = %v, want ErrSessionDead", err)
 	}
-	if _, err := s.ScanE(1, 4); !errors.Is(err, ErrSessionDead) {
-		t.Fatalf("ScanE after crash err = %v, want ErrSessionDead", err)
+	if _, err := s.Scan(1, 4); !errors.Is(err, ErrSessionDead) {
+		t.Fatalf("Scan after crash err = %v, want ErrSessionDead", err)
 	}
 }
 
@@ -81,7 +83,7 @@ func TestCursorErr(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := uint64(1); k <= 100; k++ {
-		if err := s.PutE(k, k*3); err != nil {
+		if err := s.Put(k, k*3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,6 +167,37 @@ func TestFabricParamsValidation(t *testing.T) {
 	}
 }
 
+// TestTCPClusterBoundsLaunchNothing: a TCP config outside the server bounds
+// every fabric shares fails before any process starts. PATH holds only a
+// stand-in `go` that leaves a marker file when run, so the first process a
+// launch would start — the shermand build — cannot go unnoticed, and a
+// regression fails fast instead of spawning thousands of servers.
+func TestTCPClusterBoundsLaunchNothing(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("the stand-in go is a shell script")
+	}
+	dir := t.TempDir()
+	marker := filepath.Join(dir, "ran")
+	if err := os.WriteFile(filepath.Join(dir, "go"), []byte("#!/bin/sh\n: > '"+marker+"'\nexit 1\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("PATH", dir)
+	for _, cfg := range []ClusterConfig{
+		{MemoryServers: maxMemoryServers + 1},
+		{MemoryServers: 2, ReplicationFactor: 3},
+	} {
+		cfg.ComputeServers, cfg.Transport = 1, TransportTCP
+		if _, err := NewCluster(cfg); err == nil {
+			t.Errorf("NewCluster(MemoryServers %d, ReplicationFactor %d) on tcp succeeded, want error",
+				cfg.MemoryServers, cfg.ReplicationFactor)
+		}
+		if _, err := os.Stat(marker); err == nil {
+			t.Fatalf("NewCluster(MemoryServers %d, ReplicationFactor %d) on tcp started a process before rejecting the config",
+				cfg.MemoryServers, cfg.ReplicationFactor)
+		}
+	}
+}
+
 // TestKillMemoryServerZeroRejected pins the superblock single-point
 // contract: memory server 0 holds the superblock and cannot be killed
 // (DESIGN.md §12).
@@ -227,32 +260,32 @@ func TestTCPDifferential(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 45:
 				v := rng.Uint64() | 1
-				if err := s.PutE(key, v); err != nil {
-					t.Fatalf("depth %d op %d: PutE: %v", depth, i, err)
+				if err := s.Put(key, v); err != nil {
+					t.Fatalf("depth %d op %d: Put: %v", depth, i, err)
 				}
 				oracle[key] = v
 			case r < 75:
-				v, ok, err := s.GetE(key)
+				v, ok, err := s.Get(key)
 				if err != nil {
-					t.Fatalf("depth %d op %d: GetE: %v", depth, i, err)
+					t.Fatalf("depth %d op %d: Get: %v", depth, i, err)
 				}
 				ov, ook := oracle[key]
 				if ok != ook || (ok && v != ov) {
-					t.Fatalf("depth %d op %d: GetE(%d) = %d,%v; oracle %d,%v", depth, i, key, v, ok, ov, ook)
+					t.Fatalf("depth %d op %d: Get(%d) = %d,%v; oracle %d,%v", depth, i, key, v, ok, ov, ook)
 				}
 			case r < 90:
-				found, err := s.DeleteE(key)
+				found, err := s.Delete(key)
 				if err != nil {
-					t.Fatalf("depth %d op %d: DeleteE: %v", depth, i, err)
+					t.Fatalf("depth %d op %d: Delete: %v", depth, i, err)
 				}
 				if _, ook := oracle[key]; found != ook {
-					t.Fatalf("depth %d op %d: DeleteE(%d) = %v; oracle %v", depth, i, key, found, ook)
+					t.Fatalf("depth %d op %d: Delete(%d) = %v; oracle %v", depth, i, key, found, ook)
 				}
 				delete(oracle, key)
 			default:
-				got, err := s.ScanE(key, scanSpan)
+				got, err := s.Scan(key, scanSpan)
 				if err != nil {
-					t.Fatalf("depth %d op %d: ScanE: %v", depth, i, err)
+					t.Fatalf("depth %d op %d: Scan: %v", depth, i, err)
 				}
 				var keys []uint64
 				for k := range oracle {
@@ -265,11 +298,11 @@ func TestTCPDifferential(t *testing.T) {
 					keys = keys[:scanSpan]
 				}
 				if len(got) != len(keys) {
-					t.Fatalf("depth %d op %d: ScanE(%d) %d pairs, oracle %d", depth, i, key, len(got), len(keys))
+					t.Fatalf("depth %d op %d: Scan(%d) %d pairs, oracle %d", depth, i, key, len(got), len(keys))
 				}
 				for j, k := range keys {
 					if got[j].Key != k || got[j].Value != oracle[k] {
-						t.Fatalf("depth %d op %d: ScanE(%d)[%d] = %v, oracle {%d %d}", depth, i, key, j, got[j], k, oracle[k])
+						t.Fatalf("depth %d op %d: Scan(%d)[%d] = %v, oracle {%d %d}", depth, i, key, j, got[j], k, oracle[k])
 					}
 				}
 			}
@@ -365,13 +398,13 @@ func TestTCPDifferential(t *testing.T) {
 					switch r := lr.Intn(100); {
 					case r < 50:
 						v := lr.Uint64() | 1
-						if err := s.PutE(key, v); err != nil {
+						if err := s.Put(key, v); err != nil {
 							errs <- err
 							return
 						}
 						local[key] = v
 					case r < 85:
-						v, ok, err := s.GetE(key)
+						v, ok, err := s.Get(key)
 						if err != nil {
 							errs <- err
 							return
@@ -382,7 +415,7 @@ func TestTCPDifferential(t *testing.T) {
 							return
 						}
 					default:
-						found, err := s.DeleteE(key)
+						found, err := s.Delete(key)
 						if err != nil {
 							errs <- err
 							return
